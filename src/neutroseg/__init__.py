@@ -57,7 +57,6 @@ from .sweep import (
     find_thresholds,
     partial_entropies,
 )
-from ._kernels import available_backends, default_backend
 
 __version__ = "0.1.0"
 
@@ -86,12 +85,10 @@ __all__ = [
     "ThresholdSet",
     "TruncatedData",
     "UnsortedThresholds",
-    "available_backends",
     "bifuzzy",
     "build_histogram",
     "candidate_thresholds",
     "class_stats",
-    "default_backend",
     "dissimilarity",
     "entropy_curve",
     "escort",

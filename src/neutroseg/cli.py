@@ -4,7 +4,8 @@ Subcommands: ``curve`` writes the entropy sweep as text, ``threshold``
 prints the selected thresholds, ``segment`` writes the repainted image,
 ``axioms`` runs the built-in property suite. Diagnostics go to stderr;
 data goes to ``--out`` or stdout. Exit codes: 0 success, 1 usage error,
-2 input or domain error, 3 violated internal invariant.
+2 input or domain error (including running out of memory), 3 violated
+internal invariant.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import axioms as axioms_mod
@@ -28,20 +28,6 @@ EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 
 _LOW_CONFIDENCE_SAMPLES = 1000
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the image subcommands."""
-
-    command: str
-    input_path: Optional[str]
-    q: int = 255
-    max_thresholds: int = 8
-    out: Optional[str] = None
-    curve_out: Optional[str] = None
-    seed: int = 0
-    samples: int = axioms_mod.DEFAULT_SAMPLES
 
 
 class _UsageError(Exception):
@@ -84,24 +70,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config(parser: _Parser, args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        q=getattr(args, "q", 255),
-        max_thresholds=getattr(args, "max_thresholds", 8),
-        out=getattr(args, "out", None),
-        curve_out=getattr(args, "curve_out", None),
-        seed=getattr(args, "seed", 0),
-        samples=getattr(args, "samples", axioms_mod.DEFAULT_SAMPLES),
-    )
-    if cfg.q < 2:
+def _check_args(parser: _Parser, args: argparse.Namespace) -> None:
+    if args.command == "axioms":
+        if args.samples < 1:
+            parser.error("--samples must be positive")
+    elif args.q < 2:
         parser.error("--q must be at least 2")
-    if cfg.max_thresholds < 1:
+    elif args.max_thresholds < 1:
         parser.error("--max-thresholds must be at least 1")
-    if cfg.samples < 1:
-        parser.error("--samples must be positive")
-    return cfg
 
 
 def _emit(data: bytes, path: Optional[str]) -> None:
@@ -113,10 +89,14 @@ def _emit(data: bytes, path: Optional[str]) -> None:
             fh.write(data)
 
 
-def _pipeline(cfg: RunConfig) -> tuple[GrayImage, EntropyCurve, ThresholdSet]:
-    image = imgio.load_pgm(cfg.input_path)
-    curve = entropy_curve(build_histogram(image, q=cfg.q))
-    found = find_thresholds(curve, max_thresholds=cfg.max_thresholds)
+def _image_curve(args: argparse.Namespace) -> tuple[GrayImage, EntropyCurve]:
+    image = imgio.load_pgm(args.input)
+    return image, entropy_curve(build_histogram(image, q=args.q))
+
+
+def _pipeline(args: argparse.Namespace) -> tuple[GrayImage, EntropyCurve, ThresholdSet]:
+    image, curve = _image_curve(args)
+    found = find_thresholds(curve, max_thresholds=args.max_thresholds)
     if found.fallback_used:
         print(
             "warning: no interior entropy minimum; reporting the center of the"
@@ -131,20 +111,19 @@ def _threshold_line(t: float, depth: int) -> str:
     return f"{t:.6f} {level}"
 
 
-def cmd_curve(cfg: RunConfig) -> int:
-    image = imgio.load_pgm(cfg.input_path)
-    curve = entropy_curve(build_histogram(image, q=cfg.q))
+def cmd_curve(args: argparse.Namespace) -> int:
+    _, curve = _image_curve(args)
     print(f"candidates: {len(curve)}", file=sys.stderr)
-    _emit(imgio.write_curve(curve), cfg.out)
+    _emit(imgio.write_curve(curve), args.out)
     return EXIT_OK
 
 
-def cmd_threshold(cfg: RunConfig) -> int:
-    image, curve, found = _pipeline(cfg)
-    if cfg.curve_out:
-        imgio.save_curve(cfg.curve_out, curve)
+def cmd_threshold(args: argparse.Namespace) -> int:
+    image, curve, found = _pipeline(args)
+    if args.curve_out:
+        imgio.save_curve(args.curve_out, curve)
     lines = [_threshold_line(t, image.depth) for t in found.thresholds]
-    _emit(("\n".join(lines) + "\n").encode("utf-8"), cfg.out)
+    _emit(("\n".join(lines) + "\n").encode("utf-8"), args.out)
     return EXIT_OK
 
 
@@ -155,23 +134,23 @@ def _report_segmentation(seg: Segmentation, depth: int) -> None:
         print(f"region {v:.6f} {n}", file=sys.stderr)
 
 
-def cmd_segment(cfg: RunConfig) -> int:
-    image, curve, found = _pipeline(cfg)
-    if cfg.curve_out:
-        imgio.save_curve(cfg.curve_out, curve)
+def cmd_segment(args: argparse.Namespace) -> int:
+    image, curve, found = _pipeline(args)
+    if args.curve_out:
+        imgio.save_curve(args.curve_out, curve)
     seg = segment(image, found.thresholds)
     _report_segmentation(seg, image.depth)
-    _emit(imgio.write_pgm(render(seg, image)), cfg.out)
+    _emit(imgio.write_pgm(render(seg, image)), args.out)
     return EXIT_OK
 
 
-def cmd_axioms(cfg: RunConfig) -> int:
-    if cfg.samples < _LOW_CONFIDENCE_SAMPLES:
+def cmd_axioms(args: argparse.Namespace) -> int:
+    if args.samples < _LOW_CONFIDENCE_SAMPLES:
         print(
-            f"note: {cfg.samples} samples per check gives reduced confidence",
+            f"note: {args.samples} samples per check gives reduced confidence",
             file=sys.stderr,
         )
-    checks = axioms_mod.run_axiom_checks(samples=cfg.samples, seed=cfg.seed)
+    checks = axioms_mod.run_axiom_checks(samples=args.samples, seed=args.seed)
     for c in checks:
         verdict = "PASS" if c.passed else "FAIL"
         print(
@@ -197,14 +176,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config(parser, args)
+        _check_args(parser, args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[args.command](args)
     except (NeutrosegError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -1,4 +1,4 @@
-"""Scalar building blocks for threshold-relative gray-level uncertainty.
+"""Pointwise building blocks for threshold-relative gray-level uncertainty.
 
 Gray levels, class means and candidate thresholds all live on [0, 1]. A
 bounded dissimilarity metric compares two levels; from the dissimilarities
@@ -6,65 +6,73 @@ of a level to the two class means and to the threshold we derive a
 (truth, neutrality, falsity) triple, collapse it to an escort probability
 pair, and score that pair with base-2 Shannon entropy.
 
-Everything here is a pure function of its arguments and safe to call from
-any number of threads. Array-shaped fast paths live in ``_kernels``; the
-scalar forms below are the readable reference, and the test suite pins the
-two implementations together.
+Every function takes scalars or broadcastable numpy arrays and evaluates
+elementwise; scalar input yields ``float`` results. The histogram sweep in
+``sweep`` is these functions applied to the bins x candidates grid, so an
+array call and the matching scalar calls produce the same doubles. All are
+pure functions of their arguments and safe to call from any number of
+threads.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Union
+
+import numpy as np
 
 _LN2 = math.log(2.0)
+
+Real = Union[float, np.ndarray]
 
 
 class NeutroTriple(NamedTuple):
     """Degrees of truth, neutrality and falsity, each in [0, 1]."""
 
-    truth: float
-    neutrality: float
-    falsity: float
+    truth: Real
+    neutrality: Real
+    falsity: Real
 
 
 class BifuzzyPair(NamedTuple):
     """Deficit and excess of truth + falsity relative to a partition of unity."""
 
-    undefinedness: float
-    contradiction: float
+    undefinedness: Real
+    contradiction: Real
 
 
 class EscortPair(NamedTuple):
     """Complementary two-outcome distribution distilled from a triple."""
 
-    p_truth: float
-    p_falsity: float
+    p_truth: Real
+    p_falsity: Real
 
 
-def dissimilarity(x: float, y: float) -> float:
+def dissimilarity(x: Real, y: Real) -> Real:
     """Bounded dissimilarity between two gray levels in [0, 1].
 
     Symmetric, zero exactly when ``x == y``, and at most 1 (attained by the
     extreme pair (0, 1)). Levels near mid-gray are compared more strictly
     than levels near the ends of the range.
     """
-    return 2.0 * abs(x - y) / (1.0 + abs(x - 0.5) + abs(y - 0.5))
+    return 2.0 * np.abs(x - y) / (1.0 + np.abs(x - 0.5) + np.abs(y - 0.5))
 
 
-def _contest(a: float, b: float, tie: float) -> float:
+def _contest(a: Real, b: Real, tie: float) -> Real:
     """Membership won against dissimilarity ``a`` by its rival ``b``.
 
     Returns (b - a*b) / (a + b - a*b): 1 when a == 0 < b, 0 when b == 0 < a,
     and ``tie`` at the degenerate a == b == 0.
     """
-    den = (a + b) - a * b
-    if den <= 0.0:
-        return tie
-    return (b - a * b) / den
+    prod = a * b
+    den = (a + b) - prod
+    live = den > 0.0
+    out = np.where(live, (b - prod) / np.where(live, den, 1.0), tie)
+    # np.where makes scalars 0-d arrays; [()] turns those back into floats
+    return out[()]
 
 
-def neutro_components(x: float, v1: float, v2: float, t: float) -> NeutroTriple:
+def neutro_components(x: Real, v1: Real, v2: Real, t: Real) -> NeutroTriple:
     """Truth/neutrality/falsity of gray level ``x`` given class means and threshold.
 
     Truth grows as ``x`` sits nearer the low-class mean ``v1`` than the
@@ -77,24 +85,23 @@ def neutro_components(x: float, v1: float, v2: float, t: float) -> NeutroTriple:
     d1 = dissimilarity(x, v1)
     d2 = dissimilarity(x, v2)
     dt = dissimilarity(x, t)
-    dv = d1 if d1 < d2 else d2
     return NeutroTriple(
         truth=_contest(d1, d2, 0.5),
-        neutrality=_contest(dt, dv, 1.0),
+        neutrality=_contest(dt, np.minimum(d1, d2), 1.0),
         falsity=_contest(d2, d1, 0.5),
     )
 
 
-def bifuzzy(truth: float, falsity: float) -> BifuzzyPair:
+def bifuzzy(truth: Real, falsity: Real) -> BifuzzyPair:
     """Undefinedness max(0, 1-T-F) and contradiction max(0, T+F-1).
 
     At most one of the two is nonzero, and their sum equals |T + F - 1|.
     """
     s = truth + falsity
-    return BifuzzyPair(max(0.0, 1.0 - s), max(0.0, s - 1.0))
+    return BifuzzyPair(np.maximum(0.0, 1.0 - s), np.maximum(0.0, s - 1.0))
 
 
-def escort(truth: float, neutrality: float, falsity: float) -> EscortPair:
+def escort(truth: Real, neutrality: Real, falsity: Real) -> EscortPair:
     """Collapse a triple into complementary probabilities with p_T + p_F = 1.
 
     Undefined mass is granted to both sides, neutrality is split evenly,
@@ -106,7 +113,13 @@ def escort(truth: float, neutrality: float, falsity: float) -> EscortPair:
     return EscortPair((truth + u + half_i) / den, (falsity + u + half_i) / den)
 
 
-def neutro_entropy(truth: float, neutrality: float, falsity: float) -> float:
+def _xlogx(p: Real) -> Real:
+    """p * ln(p), with the 0 * log(0) = 0 convention for p <= 0."""
+    live = p > 0.0
+    return np.where(live, p * np.log(np.where(live, p, 1.0)), 0.0)
+
+
+def neutro_entropy(truth: Real, neutrality: Real, falsity: Real) -> Real:
     """Base-2 Shannon entropy of the escort pair, clipped to [0, 1].
 
     Zero at full certainty, (T, I, F) = (1, 0, 0) or (0, 0, 1); one whenever
@@ -114,10 +127,6 @@ def neutro_entropy(truth: float, neutrality: float, falsity: float) -> float:
     falsity. Uses the 0 * log(0) = 0 convention.
     """
     p_t, p_f = escort(truth, neutrality, falsity)
-    h = 0.0
-    if p_t > 0.0:
-        h += p_t * math.log(p_t)
-    if p_f > 0.0:
-        h += p_f * math.log(p_f)
-    e = -h / _LN2
-    return min(1.0, max(0.0, e))
+    e = -(_xlogx(p_t) + _xlogx(p_f)) / _LN2
+    # adding 0.0 turns the -0.0 of a certain outcome into +0.0
+    return np.clip(e, 0.0, 1.0) + 0.0

@@ -4,7 +4,9 @@ The image's gray multiset is represented by a histogram over the quantized
 grid {0, 1/q, ..., q/q}. For every candidate threshold on that grid strictly
 inside the occupied range, the per-level entropies are averaged with the
 truth/neutrality/falsity degrees as weights, and the segmentation thresholds
-are read off the local minima of the resulting total-entropy curve.
+are read off the local minima of the resulting total-entropy curve. The
+sweep evaluates the ``core`` formulas once on the occupied-bins x candidates
+grid; :func:`partial_entropies` is the scalar reference it is tested against.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .core import neutro_components, neutro_entropy
 from .errors import ConstantImage, EmptyImage, NoCandidates, ThresholdOutOfRange
 from .image import GrayImage
 
-ZERO_MASS = _kernels.ZERO_MASS
+# weight mass below this yields a zero partial entropy
+ZERO_MASS = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,12 +154,16 @@ def partial_entropies(hist: Histogram, t: float) -> tuple[float, float, float]:
     return tuple(num / den if den >= ZERO_MASS else 0.0 for num, den in sums)
 
 
-def entropy_curve(hist: Histogram, backend: str | None = None) -> EntropyCurve:
-    """Evaluate the entropy sweep at every candidate threshold.
+def _weighted_mean(w: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Column means of ``e`` weighted by ``w``; 0 where the mass is below ZERO_MASS."""
+    num = np.sum(w * e, axis=0)
+    den = np.sum(w, axis=0)
+    live = den >= ZERO_MASS
+    return np.where(live, num / np.where(live, den, 1.0), 0.0)
 
-    ``backend`` selects the kernel ("numba" or "numpy"); by default the
-    compiled kernel is used when available.
-    """
+
+def entropy_curve(hist: Histogram) -> EntropyCurve:
+    """Evaluate the entropy sweep at every candidate threshold."""
     ks = _candidate_indices(hist)
     if ks.size == 0:
         raise NoCandidates(
@@ -177,10 +183,11 @@ def entropy_curve(hist: Histogram, backend: str | None = None) -> EntropyCurve:
     v2s = k2 / (n2 * hist.q)
     ts = vals[ks]
     occ = hist.occupied()
-    c = hist.counts.astype(np.float64)
-    e_t, e_i, e_f = _kernels.sweep_partial_entropies(
-        vals[occ], c[occ], ts, v1s, v2s, backend=backend
-    )
+    # rows are occupied bins, columns candidates
+    c = hist.counts[occ].astype(np.float64)[:, None]
+    triple = neutro_components(vals[occ][:, None], v1s, v2s, ts)
+    e = neutro_entropy(*triple)
+    e_t, e_i, e_f = (_weighted_mean(c * w, e) for w in triple)
     total = (e_t + e_i + e_f) / 3.0
     return EntropyCurve(q=hist.q, t=ts, e_t=e_t, e_i=e_i, e_f=e_f, total=total)
 

@@ -141,6 +141,19 @@ class TestErrorPaths:
         assert cli.main(["curve", str(bad)]) == 2
         capsysbinary.readouterr()
 
+    def test_out_of_memory_is_one_line_error(
+        self, bimodal_pgm, monkeypatch, capsysbinary
+    ):
+        def exhausted(hist):
+            raise MemoryError("Unable to allocate 3.00 GiB")
+
+        monkeypatch.setattr(cli, "entropy_curve", exhausted)
+        assert cli.main(["curve", bimodal_pgm, "--q", "20000"]) == 2
+        err = capsysbinary.readouterr().err
+        assert err.startswith(b"error:")
+        assert err.count(b"\n") == 1
+        assert b"Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv",
         [

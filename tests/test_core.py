@@ -131,3 +131,60 @@ class TestEntropy:
     def test_indeterminacy_raises_entropy(self, t, f, i1, i2):
         lo, hi = sorted((i1, i2))
         assert neutro_entropy(t, lo, f) <= neutro_entropy(t, hi, f) + TOL
+
+
+class TestArrayInputs:
+    """Array calls are the elementwise scalar calls, bit for bit."""
+
+    N = 10_000
+
+    @pytest.fixture(scope="class")
+    def quads(self):
+        # include exact ties and zeros so the degenerate branches are hit
+        q = np.random.default_rng(12).random((self.N, 4))
+        q[::7, 1] = q[::7, 0]
+        q[::11, 2] = q[::11, 0]
+        q[::13, 3] = q[::13, 0]
+        q[::17] = 0.0
+        return q
+
+    @staticmethod
+    def assert_elementwise(fn, columns):
+        def outputs(result):
+            return result if isinstance(result, tuple) else (result,)
+
+        got = outputs(fn(*columns))
+        rows = [outputs(fn(*map(float, args))) for args in zip(*columns)]
+        for g, e in zip(got, zip(*rows)):
+            # compare bit patterns, so -0.0 and 0.0 count as different
+            assert np.array_equal(g.view(np.int64), np.array(e).view(np.int64))
+
+    def test_dissimilarity(self, quads):
+        self.assert_elementwise(dissimilarity, quads.T[:2])
+
+    def test_neutro_components(self, quads):
+        self.assert_elementwise(neutro_components, quads.T)
+
+    def test_bifuzzy(self, quads):
+        self.assert_elementwise(bifuzzy, quads.T[:2])
+
+    def test_escort(self, quads):
+        self.assert_elementwise(escort, quads.T[:3])
+
+    def test_neutro_entropy(self, quads):
+        tri = neutro_components(*quads.T)
+        self.assert_elementwise(neutro_entropy, tri)
+        self.assert_elementwise(neutro_entropy, quads.T[:3])
+
+    def test_scalar_input_returns_float(self):
+        values = [
+            dissimilarity(0.2, 0.7),
+            *neutro_components(0.3, 0.15, 0.75, 0.3),
+            *neutro_components(0.4, 0.4, 0.4, 0.4),
+            *bifuzzy(0.3, 0.4),
+            *escort(0.3, 0.2, 0.4),
+            neutro_entropy(0.3, 0.2, 0.4),
+            neutro_entropy(1.0, 0.0, 0.0),
+        ]
+        for v in values:
+            assert isinstance(v, float)

@@ -1,9 +1,5 @@
 """Histogram, candidate grid, entropy sweep and minima extraction."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -16,7 +12,6 @@ from neutroseg import (
     GrayImage,
     NoCandidates,
     ThresholdOutOfRange,
-    available_backends,
     build_histogram,
     candidate_thresholds,
     class_stats,
@@ -180,35 +175,6 @@ class TestEntropyCurve:
         img = GrayImage(width=4, height=1, levels=np.full(4, 7), depth=256)
         with pytest.raises(ConstantImage):
             entropy_curve(build_histogram(img))
-
-
-class TestBackends:
-    def test_backends_agree(self):
-        h = build_histogram(random_image(3, 48, 48))
-        curves = {b: entropy_curve(h, backend=b) for b in available_backends()}
-        ref = curves["numpy"]
-        for curve in curves.values():
-            for name in ("e_t", "e_i", "e_f", "total"):
-                delta = np.abs(getattr(curve, name) - getattr(ref, name)).max()
-                assert delta <= TOL
-
-    def test_unknown_backend_rejected(self):
-        h = build_histogram(two_delta_image())
-        with pytest.raises(ValueError):
-            entropy_curve(h, backend="gpu")
-
-    def test_env_flag_disables_numba(self):
-        code = "import neutroseg; print(neutroseg.available_backends())"
-        env = dict(os.environ, NEUTROSEG_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert "numba" not in out.stdout
-        assert "numpy" in out.stdout
 
 
 class TestFindThresholds:
