@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+
+# pixels per bincount call: bincount converts its input to intp first, so
+# counting in chunks bounds that temporary at 2 MB whatever the image size
+_COUNT_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -12,8 +17,12 @@ class GrayImage:
     """Flat, row-major raster of integer gray levels.
 
     ``levels`` holds one integer per pixel in ``[0, depth)``; ``depth`` is the
-    source quantization (256 for 8-bit data). Gray values used by the math
-    live on the unit interval and are obtained via :meth:`unit_levels`.
+    source quantization (256 for 8-bit data). The levels are stored in the
+    smallest unsigned dtype that holds ``depth - 1`` (``uint8`` for every
+    PGM input). The array is not copied when it already has that dtype, and
+    :attr:`level_counts` is computed once, so it must not be modified after
+    construction. Gray values used by the math live on the unit interval and
+    are obtained via :meth:`unit_levels`.
     """
 
     width: int
@@ -26,7 +35,6 @@ class GrayImage:
         if not np.issubdtype(levels.dtype, np.integer):
             raise ValueError("levels must be an integer array")
         levels = levels.reshape(-1)
-        object.__setattr__(self, "levels", levels)
         if self.depth < 2:
             raise ValueError("depth must be at least 2")
         if self.width < 0 or self.height < 0:
@@ -36,12 +44,31 @@ class GrayImage:
                 f"levels has {levels.size} entries for a "
                 f"{self.width}x{self.height} raster"
             )
-        if levels.size and (int(levels.min()) < 0 or int(levels.max()) >= self.depth):
-            raise ValueError(f"levels must lie in [0, {self.depth})")
+        info = np.iinfo(levels.dtype)
+        # scan only when the dtype can hold a value outside the range
+        if levels.size and (info.min < 0 or info.max >= self.depth):
+            lo, hi = int(levels.min()), int(levels.max())
+            if lo < 0 or hi >= self.depth:
+                raise ValueError(
+                    f"values span [{lo}, {hi}], allowed [0, {self.depth - 1}]"
+                )
+        # the smallest unsigned dtype that holds depth - 1
+        levels = levels.astype(np.min_scalar_type(self.depth - 1), copy=False)
+        object.__setattr__(self, "levels", levels)
 
     @property
     def pixel_count(self) -> int:
         return self.width * self.height
+
+    @cached_property
+    def level_counts(self) -> np.ndarray:
+        """Pixel count of every level 0 .. depth-1 (int64, read-only)."""
+        counts = np.zeros(self.depth, dtype=np.int64)
+        for start in range(0, self.levels.size, _COUNT_CHUNK):
+            chunk = self.levels[start : start + _COUNT_CHUNK]
+            counts += np.bincount(chunk, minlength=self.depth)
+        counts.flags.writeable = False
+        return counts
 
     def unit_levels(self) -> np.ndarray:
         """Gray values mapped to [0, 1] as float64 (level / (depth - 1))."""

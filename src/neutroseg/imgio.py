@@ -89,24 +89,27 @@ def read_pgm(data: bytes) -> GrayImage:
     count = width * height
     if magic == b"P2":
         toks, _ = _tokens(data, 4 + count)
-        levels = np.array(
-            [_header_int(s, "sample") for s in toks[4:]], dtype=np.int64
-        )
+        try:
+            levels = np.array(
+                [_header_int(s, "sample") for s in toks[4:]], dtype=np.int64
+            )
+        except OverflowError:
+            raise SampleOutOfRange("a sample does not fit a 64-bit integer") from None
     else:
         if pos < len(data) and not data[pos : pos + 1].isspace():
             raise PgmError("raster must be introduced by a whitespace byte")
-        raster = data[pos + 1 :]
-        if len(raster) < count:
-            raise TruncatedData(f"raster holds {len(raster)} bytes, expected {count}")
-        levels = np.frombuffer(raster[:count], dtype=np.uint8).astype(np.int64)
-    if levels.size:
-        lo = int(levels.min())
-        hi = int(levels.max())
-        if lo < 0 or hi > maxval:
-            raise SampleOutOfRange(
-                f"sample values span [{lo}, {hi}], allowed [0, {maxval}]"
+        start = min(pos + 1, len(data))
+        if len(data) - start < count:
+            raise TruncatedData(
+                f"raster holds {len(data) - start} bytes, expected {count}"
             )
-    return GrayImage(width=width, height=height, levels=levels, depth=maxval + 1)
+        levels = np.frombuffer(data, dtype=np.uint8, count=count, offset=start)
+    try:
+        return GrayImage(width=width, height=height, levels=levels, depth=maxval + 1)
+    except ValueError as exc:
+        # the header checks above leave the sample range, which GrayImage
+        # checks once, as the only failure
+        raise SampleOutOfRange(f"sample {exc}") from None
 
 
 def write_pgm(image: GrayImage) -> bytes:
@@ -115,7 +118,7 @@ def write_pgm(image: GrayImage) -> bytes:
     if maxval > _MAX_MAXVAL:
         raise MaxvalOutOfRange(f"depth {image.depth} does not fit an 8-bit file")
     header = f"P5\n{image.width} {image.height}\n{maxval}\n".encode("ascii")
-    return header + image.levels.astype(np.uint8).tobytes()
+    return header + image.levels.astype(np.uint8, copy=False).tobytes()
 
 
 def load_pgm(path: PathLike) -> GrayImage:

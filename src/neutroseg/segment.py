@@ -21,13 +21,18 @@ class Segmentation:
 
     Region 0 is [0, t1]; region j is (t_j, t_{j+1}]; the last region is
     (t_k, 1]. A region's value is the mean unit gray of its pixels, or the
-    midpoint of its interval when it holds no pixels.
+    midpoint of its interval when it holds no pixels. ``region_levels`` is
+    that value as an integer level of the image's depth: ``(2*S + C) // (2*C)``
+    for a region of ``C`` pixels whose levels sum to ``S`` (the exact mean,
+    halves rounded up), the midpoint rounded half away from zero for an
+    empty region.
     """
 
     thresholds: np.ndarray
     labels: np.ndarray = field(repr=False)
     region_values: np.ndarray
     region_counts: np.ndarray
+    region_levels: np.ndarray
 
 
 def _check_thresholds(thresholds: np.ndarray) -> np.ndarray:
@@ -48,28 +53,40 @@ def segment(image: GrayImage, thresholds: np.ndarray) -> Segmentation:
     ts = _check_thresholds(thresholds)
     if image.pixel_count == 0:
         raise EmptyImage("cannot segment an image with no pixels")
-    g = image.unit_levels()
-    labels = np.searchsorted(ts, g, side="left")
+    top = image.depth - 1
+    level = np.arange(image.depth, dtype=np.int64)
+    # region of every gray level; the per-pixel labels are one gather of it
+    level_labels = np.searchsorted(ts, level / top, side="left").astype(
+        np.min_scalar_type(ts.size)
+    )
     regions = ts.size + 1
-    counts = np.bincount(labels, minlength=regions)
-    sums = np.bincount(labels, weights=g, minlength=regions)
+    counts = np.zeros(regions, dtype=np.int64)
+    sums = np.zeros(regions, dtype=np.int64)
+    np.add.at(counts, level_labels, image.level_counts)
+    np.add.at(sums, level_labels, image.level_counts * level)
     bounds = np.concatenate(([0.0], ts, [1.0]))
     mids = (bounds[:-1] + bounds[1:]) / 2.0
-    values = np.where(counts > 0, sums / np.maximum(counts, 1), mids)
+    full = counts > 0
+    c = np.maximum(counts, 1)
+    values = np.where(full, sums / (c * top), mids)
+    # integer level sums make the rounding of a half-level mean exact
+    paint = np.where(full, (2 * sums + c) // (2 * c), np.floor(mids * top + 0.5))
     return Segmentation(
         thresholds=ts,
-        labels=labels,
+        labels=level_labels[image.levels],
         region_values=values,
         region_counts=counts,
+        region_levels=paint.astype(image.levels.dtype),
     )
 
 
 def render(seg: Segmentation, image: GrayImage) -> GrayImage:
-    """Replace every pixel with its region's gray, requantized to the depth."""
+    """Replace every pixel with its region's level (``region_levels``)."""
     if seg.labels.size != image.pixel_count:
         raise DimensionMismatch("segmentation does not match the image size")
-    unit = seg.region_values[seg.labels]
-    levels = np.floor(unit * (image.depth - 1) + 0.5).astype(np.int64)
     return GrayImage(
-        width=image.width, height=image.height, levels=levels, depth=image.depth
+        width=image.width,
+        height=image.height,
+        levels=seg.region_levels[seg.labels],
+        depth=image.depth,
     )

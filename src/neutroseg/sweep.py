@@ -87,9 +87,11 @@ def build_histogram(image: GrayImage, q: int = 255) -> Histogram:
         raise ValueError("q must be at least 2")
     if image.pixel_count == 0:
         raise EmptyImage("cannot build a histogram from an empty image")
-    scaled = image.levels.astype(np.int64) * q / (image.depth - 1)
+    # the bin rule evaluated once per level, not once per pixel
+    scaled = np.arange(image.depth, dtype=np.int64) * q / (image.depth - 1)
     bins = np.floor(scaled + 0.5).astype(np.int64)
-    counts = np.bincount(bins, minlength=q + 1)
+    counts = np.zeros(q + 1, dtype=np.int64)
+    np.add.at(counts, bins, image.level_counts)
     return Histogram(q=q, counts=counts, total=int(counts.sum()))
 
 

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import image_from_unit, random_image
 from neutroseg import (
     BadMagic,
+    GrayImage,
     MaxvalOutOfRange,
     PgmError,
     SampleOutOfRange,
@@ -72,6 +75,61 @@ class TestReadPgm:
     def test_malformed_header_field(self):
         with pytest.raises(PgmError):
             read_pgm(b"P2 x 1 255 0")
+
+
+@st.composite
+def pgm_with_random_tail(draw):
+    """A valid P2 or P5 header followed by an arbitrary or near-valid raster."""
+    magic = draw(st.sampled_from([b"P2", b"P5"]))
+    width = draw(st.integers(0, 5))
+    height = draw(st.integers(0, 5))
+    maxval = draw(st.sampled_from([1, 7, 100, 254, 255]))
+    head = b"%s\n%d %d\n%d" % (magic, width, height, maxval)
+    count = width * height
+    if magic == b"P5" and draw(st.booleans()):
+        # short, exact or long raster; sample values may exceed maxval
+        tail = b"\n" + draw(st.binary(min_size=max(count - 2, 0), max_size=count + 2))
+    elif magic == b"P2" and draw(st.booleans()):
+        samples = draw(st.lists(st.integers(-3, 300), max_size=count + 2))
+        tail = b" " + b" ".join(b"%d" % v for v in samples)
+    else:
+        tail = draw(st.binary(max_size=40))
+    return head + tail
+
+
+def assert_image_or_pgm_error(data: bytes) -> None:
+    try:
+        img = read_pgm(data)
+    except PgmError:
+        return
+    assert isinstance(img, GrayImage)
+    assert img.levels.dtype == np.uint8
+    assert img.levels.size == img.pixel_count
+    assert img.levels.size == 0 or int(img.levels.max()) < img.depth
+
+
+class TestReadPgmFuzz:
+    @settings(deadline=None, max_examples=300)
+    @given(st.binary(max_size=64))
+    def test_any_bytes(self, data):
+        assert_image_or_pgm_error(data)
+
+    @settings(deadline=None, max_examples=300)
+    @given(pgm_with_random_tail())
+    def test_valid_header_random_tail(self, data):
+        assert_image_or_pgm_error(data)
+
+    def test_p5_trailing_bytes_are_ignored(self):
+        img = read_pgm(b"P5 2 1 255\n" + bytes([3, 4, 5, 6]))
+        assert list(img.levels) == [3, 4]
+
+    def test_p5_without_raster_separator(self):
+        img = read_pgm(b"P5 0 0 255")
+        assert img.pixel_count == 0
+
+    def test_oversized_p2_sample(self):
+        with pytest.raises(SampleOutOfRange):
+            read_pgm(b"P2 1 1 255 " + b"9" * 30)
 
 
 class TestWritePgm:

@@ -85,11 +85,33 @@ class TestRender:
             labels=np.array([0, 0, 1]),
             region_values=np.array([0.15, 0.9]),
             region_counts=np.array([2, 1]),
+            region_levels=np.array([38, 230]),
         )
         out = render(seg, img)
-        # round(38.25) = 38, round(229.5) = 230 half away from zero
-        assert set(np.unique(out.levels)) == {38, 230}
+        # render paints region_levels; segment decides them
+        assert list(out.levels) == [38, 38, 230]
+        assert out.levels.dtype == np.uint8
         assert (out.width, out.height, out.depth) == (img.width, img.height, 256)
+
+    def test_worked_example_rounds_exact_mean_half_up(self):
+        img = GrayImage(width=3, height=1, levels=np.array([26, 51, 230]), depth=256)
+        out = render(segment(img, [0.3]), img)
+        # (26 + 51) / 2 = 38.5 rounds up to 39
+        assert list(out.levels) == [39, 39, 230]
+
+    def test_half_level_mean_at_depth_256(self):
+        # the exact mean 253.5 must paint 254; summing float unit grays
+        # gives 253.49999999999997 and paints 253
+        img = GrayImage(width=34, height=1, levels=np.repeat([252, 255], 17))
+        out = render(segment(img, [0.5]), img)
+        assert set(np.unique(out.levels)) == {254}
+
+    def test_half_level_mean_at_depth_101(self):
+        # mean 56.5 levels; an exactly rounded float mean times 100 is
+        # 56.49999999999999 and would paint 56
+        img = GrayImage(width=2, height=1, levels=np.array([56, 57]), depth=101)
+        out = render(segment(img, []), img)
+        assert list(out.levels) == [57, 57]
 
     def test_half_away_from_zero_rounding(self):
         img = image_from_unit([0.4, 0.6])

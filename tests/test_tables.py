@@ -1,0 +1,71 @@
+"""Per-level tables against the per-pixel formulas they replace."""
+
+import numpy as np
+import pytest
+
+from conftest import random_image
+from neutroseg import GrayImage, build_histogram, read_pgm, render, segment, write_pgm
+
+DEPTHS = [2, 17, 101, 256]
+QS = [2, 64, 255, 1000, 4000]
+
+
+def pixel_bins(image: GrayImage, q: int) -> np.ndarray:
+    """q-grid bin of every pixel, rounding halves away from zero."""
+    levels = image.levels.astype(np.int64)
+    return np.floor(levels * q / (image.depth - 1) + 0.5).astype(np.int64)
+
+
+def grid_thresholds(rng: np.random.Generator, q: int) -> np.ndarray:
+    """Up to four distinct grid points k/q strictly inside (0, 1)."""
+    ks = rng.choice(np.arange(1, q), size=min(4, q - 1), replace=False)
+    return np.sort(ks) / q
+
+
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_tables_match_per_pixel_formulas(depth, q):
+    img = random_image(depth * 7 + q, 48, 37, depth=depth)
+    hist = build_histogram(img, q=q)
+    assert np.array_equal(hist.counts, np.bincount(pixel_bins(img, q), minlength=q + 1))
+    assert hist.total == img.pixel_count
+
+    ts = grid_thresholds(np.random.default_rng(q), q)
+    seg = segment(img, ts)
+    labels = np.searchsorted(ts, img.unit_levels(), side="left")
+    assert np.array_equal(seg.labels, labels)
+    assert np.array_equal(seg.region_counts, np.bincount(labels, minlength=ts.size + 1))
+
+    # every nonempty region repaints to its exact mean level, halves up
+    out = render(seg, img)
+    levels = img.levels.astype(np.int64)
+    for r in np.flatnonzero(seg.region_counts):
+        inside = labels == r
+        s, c = int(levels[inside].sum()), int(inside.sum())
+        assert np.all(out.levels[inside] == (2 * s + c) // (2 * c))
+
+
+def test_level_counts_across_a_partial_chunk():
+    img = random_image(21, (1 << 18) + 7, 1)
+    want = np.bincount(img.levels.astype(np.int64), minlength=img.depth)
+    assert np.array_equal(img.level_counts, want)
+    assert img.level_counts is img.level_counts
+    assert not img.level_counts.flags.writeable
+
+
+def test_levels_use_the_smallest_unsigned_dtype():
+    assert random_image(1, 4, 4, depth=256).levels.dtype == np.uint8
+    deep = GrayImage(width=2, height=1, levels=np.array([0, 1023]), depth=1024)
+    assert deep.levels.dtype == np.uint16
+    assert list(deep.level_counts[[0, 1023]]) == [1, 1]
+
+
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_decoded_levels_are_uint8(depth):
+    img = random_image(depth, 9, 5, depth=depth)
+    p5 = write_pgm(img)
+    p2 = b"P2 9 5 %d " % (depth - 1) + b" ".join(b"%d" % v for v in img.levels)
+    for data in (p5, p2):
+        back = read_pgm(data)
+        assert back.levels.dtype == np.uint8
+        assert np.array_equal(back.levels, img.levels)
