@@ -29,6 +29,10 @@ CURVE_HEADER = "t,e_T,e_I,e_F,E"
 
 _MAX_MAXVAL = 255
 
+# the bytes of a raster the vectorised P2 decode takes: decimal digits and
+# the six bytes that bytes.isspace accepts
+_PLAIN_RASTER = b"0123456789 \t\n\r\x0b\x0c"
+
 
 class CurveColumns(NamedTuple):
     """Columns of a parsed curve file, each a float64 array."""
@@ -71,6 +75,31 @@ def _header_int(token: bytes, what: str) -> int:
         raise PgmError(f"malformed {what} field {token!r}") from None
 
 
+def _plain_samples(raster: bytes, count: int, maxval: int) -> np.ndarray | None:
+    """The first ``count`` samples of a P2 raster in one vectorised pass.
+
+    Returns ``None`` unless the raster holds only digits and whitespace, at
+    least ``count`` samples and none above ``maxval`` among them; the token
+    loop in :func:`read_pgm` then decodes it, comments and errors included.
+    """
+    if raster.translate(None, _PLAIN_RASTER):
+        return None
+    digit = np.frombuffer(raster, dtype=np.uint8) >= 0x30
+    tokens = int(digit[:1].sum()) + int(np.count_nonzero(digit[1:] > digit[:-1]))
+    if tokens < count:
+        return None
+    # fromstring's length is not trusted (it reads a blank raster as [0]),
+    # and it saturates a sample too large for int64, which the range test
+    # below sends to the token loop
+    levels = np.fromstring(raster, dtype=np.int64, sep=" ")
+    if levels.size != tokens:
+        return None
+    levels = levels[:count]
+    if count and int(levels.max()) > maxval:
+        return None
+    return levels.astype(np.uint8)
+
+
 def read_pgm(data: bytes) -> GrayImage:
     """Decode PGM bytes (P2 or P5) into a gray image of depth maxval + 1."""
     if data[:2] not in (b"P2", b"P5"):
@@ -88,13 +117,17 @@ def read_pgm(data: bytes) -> GrayImage:
         raise MaxvalOutOfRange(f"maxval {maxval} outside [1, {_MAX_MAXVAL}]")
     count = width * height
     if magic == b"P2":
-        toks, _ = _tokens(data, 4 + count)
-        try:
-            levels = np.array(
-                [_header_int(s, "sample") for s in toks[4:]], dtype=np.int64
-            )
-        except OverflowError:
-            raise SampleOutOfRange("a sample does not fit a 64-bit integer") from None
+        levels = _plain_samples(data[pos:], count, maxval)
+        if levels is None:
+            toks, _ = _tokens(data, 4 + count)
+            try:
+                levels = np.array(
+                    [_header_int(s, "sample") for s in toks[4:]], dtype=np.int64
+                )
+            except OverflowError:
+                raise SampleOutOfRange(
+                    "a sample does not fit a 64-bit integer"
+                ) from None
     else:
         if pos < len(data) and not data[pos : pos + 1].isspace():
             raise PgmError("raster must be introduced by a whitespace byte")
@@ -135,9 +168,9 @@ def save_pgm(path: PathLike, image: GrayImage) -> None:
 
 def write_curve(curve: EntropyCurve) -> bytes:
     """Render a curve as UTF-8 text, one comma-separated row per threshold."""
-    lines = [CURVE_HEADER]
-    for row in zip(curve.t, curve.e_t, curve.e_i, curve.e_f, curve.total):
-        lines.append(",".join(f"{v:.12g}" for v in row))
+    cols = (curve.t, curve.e_t, curve.e_i, curve.e_f, curve.total)
+    row = "%.12g,%.12g,%.12g,%.12g,%.12g".__mod__
+    lines = [CURVE_HEADER, *map(row, zip(*(c.tolist() for c in cols)))]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

@@ -1,5 +1,7 @@
 """PGM codecs and curve serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,8 @@ from neutroseg import (
     write_curve,
     write_pgm,
 )
-from neutroseg.imgio import CURVE_HEADER
+from neutroseg.imgio import CURVE_HEADER, _plain_samples
+from neutroseg.sweep import EntropyCurve
 
 
 class TestReadPgm:
@@ -132,6 +135,107 @@ class TestReadPgmFuzz:
             read_pgm(b"P2 1 1 255 " + b"9" * 30)
 
 
+_SPACE = " \t\n\r\x0b\x0c"
+
+
+@st.composite
+def p2_raster_pair(draw):
+    """The same P2 raster without and with a comment between header and raster.
+
+    The comment sends the second file through the token loop. Plain rasters
+    (digits and whitespace only) are drawn half of the time, so both the
+    vectorised decode and its fallback are exercised.
+    """
+    width = draw(st.integers(0, 5))
+    height = draw(st.integers(0, 5))
+    maxval = draw(st.sampled_from([1, 7, 100, 254, 255]))
+    plain = [
+        st.integers(0, 300).map(b"%d".__mod__),
+        st.integers(0, 255).map(b"00%d".__mod__),
+        st.text("0123456789", min_size=4, max_size=30).map(str.encode),
+    ]
+    odd = st.text("0123456789+-_#x", min_size=1, max_size=4).map(str.encode)
+    token = st.one_of(plain if draw(st.booleans()) else [*plain, odd])
+    n = max(width * height + draw(st.integers(-2, 2)), 0)
+    space = st.text(_SPACE, min_size=1, max_size=3).map(str.encode)
+    raster = b"".join(draw(space) + draw(token) for _ in range(n))
+    raster += draw(st.text(_SPACE, max_size=3).map(str.encode))
+    head = b"P2\n%d %d\n%d" % (width, height, maxval)
+    return head + raster, head + b" # c\n" + raster
+
+
+def decoded(data: bytes):
+    """Levels, dtype and depth of a decoded file, or its error type and message."""
+    try:
+        img = read_pgm(data)
+    except PgmError as exc:
+        return type(exc), str(exc)
+    return img.levels.tolist(), img.levels.dtype, img.depth
+
+
+class TestPlainP2Decode:
+    @settings(deadline=None, max_examples=400)
+    @given(p2_raster_pair())
+    def test_matches_token_loop(self, pair):
+        plain, commented = pair
+        assert decoded(plain) == decoded(commented)
+
+    @pytest.mark.parametrize(
+        "data, levels",
+        [
+            (b"P2 0 0 255\n   \n", []),
+            (b"P2 4 1 255\t1\x0b2\x0c3\r\n4", [1, 2, 3, 4]),
+            (b"P2 2 1 255 007 0", [7, 0]),
+            (b"P2 2 1 100 1 2 3 101 " + b"9" * 30, [1, 2]),
+            (b"P2 3 1 255 +5 -0 1_0", [5, 0, 10]),
+        ],
+    )
+    def test_edge_cases(self, data, levels):
+        img = read_pgm(data)
+        assert img.levels.tolist() == levels
+        assert img.levels.dtype == np.uint8
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P2 2 1 100 7 101", "sample values span [7, 101], allowed [0, 100]"),
+            (b"P2 1 1 255 " + b"9" * 30, "a sample does not fit a 64-bit integer"),
+        ],
+    )
+    def test_range_errors(self, data, message):
+        with pytest.raises(SampleOutOfRange) as info:
+            read_pgm(data)
+        assert str(info.value) == message
+
+    def test_declines_what_the_token_loop_decides(self):
+        assert _plain_samples(b" 1\t2\n3 4", 3, 255).tolist() == [1, 2, 3]
+        declined = [
+            (b" 1 # 2\n3", 2),  # comment
+            (b" +5 1", 2),  # sign
+            (b" 1e1 2", 2),  # not a decimal integer
+            (b" 1 2", 3),  # short
+            (b"   ", 0),  # blank, read by fromstring as [0]
+            (b" 3 256", 2),  # above maxval
+        ]
+        for raster, count in declined:
+            assert _plain_samples(raster, count, 255) is None
+
+    def test_decode_memory_is_bounded(self):
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 256, size=(512 * 512 // 16, 16))
+        raster = "\n".join(" ".join(map(str, row)) for row in rows.tolist())
+        data = b"P2\n512 512\n255\n" + raster.encode() + b"\n"
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            img = read_pgm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert img.levels.tolist() == rows.reshape(-1).tolist()
+        assert peak < 8 * len(data)
+
+
 class TestWritePgm:
     def test_single_pixel_payload(self):
         img = image_from_unit([0.0], depth=256)
@@ -191,6 +295,14 @@ class TestCurveFormat:
         assert len(lines) == 152
         for line in lines:
             assert line.split(",")[1:] == ["0", "0", "0", "0"]
+
+    def test_rows_match_per_value_format(self):
+        values = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 1 / 3, -2.5e-7]
+        cols = [np.roll(np.array(values), k) for k in range(5)]
+        curve = EntropyCurve(len(values), *cols)
+        want = [CURVE_HEADER]
+        want += [",".join(f"{v:.12g}" for v in row) for row in zip(*cols)]
+        assert write_curve(curve) == ("\n".join(want) + "\n").encode()
 
     def test_parse_rejects_bad_input(self):
         with pytest.raises(ValueError):
