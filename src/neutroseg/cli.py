@@ -20,7 +20,14 @@ from . import imgio
 from .errors import NeutrosegError
 from .image import GrayImage
 from .segment import Segmentation, render, segment
-from .sweep import EntropyCurve, ThresholdSet, build_histogram, entropy_curve, find_thresholds
+from .sweep import (
+    MAX_Q,
+    EntropyCurve,
+    ThresholdSet,
+    build_histogram,
+    entropy_curve,
+    find_thresholds,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,7 +53,9 @@ def _build_parser() -> _Parser:
     def image_command(name: str, help_: str) -> _Parser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("input", help="input PGM image (P2 or P5)")
-        p.add_argument("--q", type=int, default=255, help="threshold grid steps")
+        p.add_argument(
+            "--q", type=int, default=255, help=f"threshold grid steps (2 to {MAX_Q})"
+        )
         p.add_argument(
             "--max-thresholds", type=int, default=8, help="cap on reported minima"
         )
@@ -76,6 +85,8 @@ def _check_args(parser: _Parser, args: argparse.Namespace) -> None:
             parser.error("--samples must be positive")
     elif args.q < 2:
         parser.error("--q must be at least 2")
+    elif args.q > MAX_Q:
+        parser.error(f"--q must be at most {MAX_Q}")
     elif args.max_thresholds < 1:
         parser.error("--max-thresholds must be at least 1")
 
@@ -193,3 +204,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def entry() -> None:
     """Console-script hook."""
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -5,8 +5,15 @@ grid {0, 1/q, ..., q/q}. For every candidate threshold on that grid strictly
 inside the occupied range, the per-level entropies are averaged with the
 truth/neutrality/falsity degrees as weights, and the segmentation thresholds
 are read off the local minima of the resulting total-entropy curve. The
-sweep evaluates the ``core`` formulas once on the occupied-bins x candidates
-grid; :func:`partial_entropies` is the scalar reference it is tested against.
+sweep evaluates the ``core`` formulas on the occupied-bins x candidates grid;
+:func:`partial_entropies` is the scalar reference it is tested against.
+
+The grid is evaluated in blocks of consecutive candidate columns, about
+``_BLOCK_CELLS`` cells each, so the sweep's memory does not grow with ``q``
+beyond its O(q) per-candidate arrays; ``MAX_Q`` caps those. Every block is at
+least two columns wide: numpy sums a two-dimensional block's rows in order,
+but reduces a single column pairwise, which would change the curve's last
+bits. The curve is therefore the same for every block size.
 """
 
 from __future__ import annotations
@@ -21,6 +28,14 @@ from .image import GrayImage
 
 # weight mass below this yields a zero partial entropy
 ZERO_MASS = 1e-12
+
+# largest accepted grid; the README gives the sweep's time and memory at this q
+MAX_Q = 65536
+
+# grid cells per block of candidate columns (128 KB per float64 temporary); at
+# 2^15 the sweep ran about 4% faster, but its freed blocks kept about 2 MB more
+# heap resident for the rest of a CLI run
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,10 +96,12 @@ def build_histogram(image: GrayImage, q: int = 255) -> Histogram:
     """Histogram of ``image`` quantized to the grid {0, 1/q, ..., 1}.
 
     A pixel with integer level L lands in bin round(L * q / (depth - 1)),
-    rounding halves away from zero.
+    rounding halves away from zero. ``q`` runs from 2 to ``MAX_Q``.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
+    if q > MAX_Q:
+        raise ValueError(f"q must be at most {MAX_Q}")
     if image.pixel_count == 0:
         raise EmptyImage("cannot build a histogram from an empty image")
     # the bin rule evaluated once per level, not once per pixel
@@ -165,7 +182,14 @@ def _weighted_mean(w: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def entropy_curve(hist: Histogram) -> EntropyCurve:
-    """Evaluate the entropy sweep at every candidate threshold."""
+    """Evaluate the entropy sweep at every candidate threshold.
+
+    The occupied-bins x candidates grid is split into blocks of consecutive
+    columns of about ``_BLOCK_CELLS`` cells, never narrower than two columns
+    when there are two or more candidates: numpy adds a block's rows in
+    order, but sums a lone column pairwise, so a one-column block would
+    change the curve. With that minimum every block size gives the same bits.
+    """
     ks = _candidate_indices(hist)
     if ks.size == 0:
         raise NoCandidates(
@@ -187,9 +211,16 @@ def entropy_curve(hist: Histogram) -> EntropyCurve:
     occ = hist.occupied()
     # rows are occupied bins, columns candidates
     c = hist.counts[occ].astype(np.float64)[:, None]
-    triple = neutro_components(vals[occ][:, None], v1s, v2s, ts)
-    e = neutro_entropy(*triple)
-    e_t, e_i, e_f = (_weighted_mean(c * w, e) for w in triple)
+    x = vals[occ][:, None]
+    e_t, e_i, e_f = parts = [np.empty(ks.size) for _ in range(3)]
+    cells = occ.size * ks.size
+    blocks = max(1, min(ks.size // 2, -(-cells // _BLOCK_CELLS)))
+    edges = [i * ks.size // blocks for i in range(blocks + 1)]
+    for a, b in zip(edges[:-1], edges[1:]):
+        triple = neutro_components(x, v1s[a:b], v2s[a:b], ts[a:b])
+        e = neutro_entropy(*triple)
+        for out, w in zip(parts, triple):
+            out[a:b] = _weighted_mean(c * w, e)
     total = (e_t + e_i + e_f) / 3.0
     return EntropyCurve(q=hist.q, t=ts, e_t=e_t, e_i=e_i, e_f=e_f, total=total)
 

@@ -1,11 +1,16 @@
 """End-to-end command-line behavior, run in process."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import image_from_unit, mixture_image
+import neutroseg
 from neutroseg import AxiomCheck, load_pgm, parse_curve, save_pgm
 import neutroseg.cli as cli
 
@@ -163,11 +168,29 @@ class TestErrorPaths:
             ["curve", "x.pgm", "--q", "1"],
             ["threshold", "x.pgm", "--max-thresholds", "0"],
             ["axioms", "--samples", "0"],
+            ["curve", "x.pgm", "--q", "65537"],
         ],
     )
     def test_usage_errors(self, argv, capsysbinary):
         assert cli.main(argv) == 1
         assert b"error:" in capsysbinary.readouterr().err
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("module", ["neutroseg", "neutroseg.cli"])
+    def test_python_m_runs_the_cli(self, module, bimodal_pgm, capsysbinary):
+        assert cli.main(["curve", bimodal_pgm]) == 0
+        expected = capsysbinary.readouterr().out
+        src = str(Path(neutroseg.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "curve", bimodal_pgm],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected
 
 
 class TestAxiomsCommand:

@@ -1,8 +1,11 @@
 """Histogram, candidate grid, entropy sweep and minima extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import neutroseg.sweep as sweep
 import oracle
 from conftest import image_from_unit, mixture_image, random_image
 from neutroseg import (
@@ -66,6 +69,12 @@ class TestBuildHistogram:
     def test_q_lower_bound(self):
         with pytest.raises(ValueError):
             build_histogram(two_delta_image(), q=1)
+
+    def test_q_upper_bound(self):
+        h = build_histogram(two_delta_image(), q=sweep.MAX_Q)
+        assert h.counts.size == sweep.MAX_Q + 1 and h.total == 4
+        with pytest.raises(ValueError, match="at most"):
+            build_histogram(two_delta_image(), q=sweep.MAX_Q + 1)
 
 
 class TestClassStats:
@@ -175,6 +184,82 @@ class TestEntropyCurve:
         img = GrayImage(width=4, height=1, levels=np.full(4, 7), depth=256)
         with pytest.raises(ConstantImage):
             entropy_curve(build_histogram(img))
+
+
+class TestBlockedSweep:
+    """The curve is the same bits for every block size the sweep can pick."""
+
+    COLUMNS = ("t", "e_t", "e_i", "e_f", "total")
+
+    @staticmethod
+    def blocked_curve(monkeypatch, hist, budget):
+        """Curve at cell budget ``budget``, and the width of every block."""
+        widths = []
+        weighted_mean = sweep._weighted_mean
+
+        def spy(w, e):
+            widths.append(e.shape[1])
+            return weighted_mean(w, e)
+
+        with monkeypatch.context() as m:
+            m.setattr(sweep, "_BLOCK_CELLS", budget)
+            m.setattr(sweep, "_weighted_mean", spy)
+            curve = entropy_curve(hist)
+        return curve, widths[::3]
+
+    @pytest.mark.parametrize(
+        "image, q",
+        [
+            (mixture_image(0, [0.25, 0.75], [0.05, 0.05], [0.5, 0.5]), 255),
+            (random_image(8, 256, 256), 4000),
+        ],
+        ids=["bimodal-q255", "random256-q4000"],
+    )
+    def test_curve_does_not_depend_on_block_size(self, monkeypatch, image, q):
+        hist = build_histogram(image, q=q)
+        rows = hist.occupied().size
+        cols = candidate_thresholds(hist).size
+        whole, widths = self.blocked_curve(monkeypatch, hist, rows * cols)
+        assert widths == [cols]
+        # a fixed width that would leave one column over at the end
+        odd = next(w for w in range(4, cols) if cols % w == 1)
+        for width in (2, 3, odd):
+            curve, widths = self.blocked_curve(monkeypatch, hist, rows * width)
+            assert sum(widths) == cols
+            assert 2 <= min(widths) and max(widths) <= width + 1
+            for name in self.COLUMNS:
+                assert np.array_equal(getattr(curve, name), getattr(whole, name))
+
+    def test_budget_below_one_column_keeps_two_columns(self, monkeypatch):
+        hist = build_histogram(random_image(8, 32, 32), q=64)
+        whole = entropy_curve(hist)
+        curve, widths = self.blocked_curve(monkeypatch, hist, 1)
+        assert len(widths) == candidate_thresholds(hist).size // 2
+        assert min(widths) >= 2
+        for name in self.COLUMNS:
+            assert np.array_equal(getattr(curve, name), getattr(whole, name))
+
+    def test_single_candidate(self, monkeypatch):
+        hist = build_histogram(image_from_unit([0.0, 0.0, 2 / 255]), q=255)
+        curve, widths = self.blocked_curve(monkeypatch, hist, 1)
+        assert widths == [1]
+        assert curve.t.tolist() == [1 / 255]
+        e_t, e_i, e_f = partial_entropies(hist, 1 / 255)
+        assert curve.e_t[0] == pytest.approx(e_t, abs=TOL)
+        assert curve.e_i[0] == pytest.approx(e_i, abs=TOL)
+        assert curve.e_f[0] == pytest.approx(e_f, abs=TOL)
+
+    def test_peak_memory_does_not_grow_with_q(self):
+        hist = build_histogram(random_image(8, 256, 256), q=16000)
+        tracemalloc.start()
+        try:
+            curve = entropy_curve(hist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(curve) == 15999
+        # the whole 256 x 15999 grid evaluated at once peaked at 287 MB
+        assert peak < 16 * 2**20
 
 
 class TestFindThresholds:
