@@ -46,7 +46,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and the parser of each subcommand by name."""
     parser = _Parser(prog="neutroseg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -76,28 +77,29 @@ def _build_parser() -> _Parser:
         default=axioms_mod.DEFAULT_SAMPLES,
         help="draws per property check",
     )
-    return parser
+    return parser, sub.choices
 
 
-def _check_args(parser: _Parser, args: argparse.Namespace) -> None:
+def _check_args(command: _Parser, args: argparse.Namespace) -> None:
+    """Range checks argparse does not make, reported with ``command``'s usage."""
     if args.command == "axioms":
         if args.samples < 1:
-            parser.error("--samples must be positive")
+            command.error("--samples must be positive")
     elif args.q < 2:
-        parser.error("--q must be at least 2")
+        command.error("--q must be at least 2")
     elif args.q > MAX_Q:
-        parser.error(f"--q must be at most {MAX_Q}")
+        command.error(f"--q must be at most {MAX_Q}")
     elif args.max_thresholds < 1:
-        parser.error("--max-thresholds must be at least 1")
+        command.error("--max-thresholds must be at least 1")
 
 
-def _emit(data: bytes, path: Optional[str]) -> None:
+def _emit(path: Optional[str], *parts: bytes | memoryview) -> None:
     if path is None:
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.writelines(parts)
         sys.stdout.buffer.flush()
     else:
         with open(path, "wb") as fh:
-            fh.write(data)
+            fh.writelines(parts)
 
 
 def _image_curve(args: argparse.Namespace) -> tuple[GrayImage, EntropyCurve]:
@@ -125,7 +127,7 @@ def _threshold_line(t: float, depth: int) -> str:
 def cmd_curve(args: argparse.Namespace) -> int:
     _, curve = _image_curve(args)
     print(f"candidates: {len(curve)}", file=sys.stderr)
-    _emit(imgio.write_curve(curve), args.out)
+    _emit(args.out, imgio.write_curve(curve))
     return EXIT_OK
 
 
@@ -134,7 +136,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     if args.curve_out:
         imgio.save_curve(args.curve_out, curve)
     lines = [_threshold_line(t, image.depth) for t in found.thresholds]
-    _emit(("\n".join(lines) + "\n").encode("utf-8"), args.out)
+    _emit(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
     return EXIT_OK
 
 
@@ -151,7 +153,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
         imgio.save_curve(args.curve_out, curve)
     seg = segment(image, found.thresholds)
     _report_segmentation(seg, image.depth)
-    _emit(imgio.write_pgm(render(seg, image)), args.out)
+    _emit(args.out, *imgio.pgm_parts(render(seg, image)))
     return EXIT_OK
 
 
@@ -184,10 +186,10 @@ _HANDLERS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Parse ``argv`` and run one subcommand, returning the exit code."""
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_args(parser, args)
+        _check_args(commands[args.command], args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

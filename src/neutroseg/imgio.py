@@ -145,13 +145,22 @@ def read_pgm(data: bytes) -> GrayImage:
         raise SampleOutOfRange(f"sample {exc}") from None
 
 
-def write_pgm(image: GrayImage) -> bytes:
-    """Encode a gray image (depth at most 256) as binary PGM bytes."""
+def pgm_parts(image: GrayImage) -> tuple[bytes, memoryview]:
+    """Header and raster of ``image`` (depth at most 256) as binary PGM.
+
+    The raster is a view of the image's levels, not a copy; written one
+    after the other, the two parts are the file.
+    """
     maxval = image.depth - 1
     if maxval > _MAX_MAXVAL:
         raise MaxvalOutOfRange(f"depth {image.depth} does not fit an 8-bit file")
     header = f"P5\n{image.width} {image.height}\n{maxval}\n".encode("ascii")
-    return header + image.levels.astype(np.uint8, copy=False).tobytes()
+    return header, memoryview(np.ascontiguousarray(image.levels, dtype=np.uint8))
+
+
+def write_pgm(image: GrayImage) -> bytes:
+    """Encode a gray image (depth at most 256) as binary PGM bytes."""
+    return b"".join(pgm_parts(image))
 
 
 def load_pgm(path: PathLike) -> GrayImage:
@@ -163,7 +172,7 @@ def load_pgm(path: PathLike) -> GrayImage:
 def save_pgm(path: PathLike, image: GrayImage) -> None:
     """Write ``image`` to ``path`` as binary PGM."""
     with open(path, "wb") as fh:
-        fh.write(write_pgm(image))
+        fh.writelines(pgm_parts(image))
 
 
 def write_curve(curve: EntropyCurve) -> bytes:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -17,22 +18,29 @@ from .image import GrayImage
 
 @dataclass(frozen=True, eq=False)
 class Segmentation:
-    """Region labels plus the replacement gray chosen for each region.
+    """Region of every gray level plus the replacement gray of each region.
 
     Region 0 is [0, t1]; region j is (t_j, t_{j+1}]; the last region is
-    (t_k, 1]. A region's value is the mean unit gray of its pixels, or the
-    midpoint of its interval when it holds no pixels. ``region_levels`` is
-    that value as an integer level of the image's depth: ``(2*S + C) // (2*C)``
-    for a region of ``C`` pixels whose levels sum to ``S`` (the exact mean,
-    halves rounded up), the midpoint rounded half away from zero for an
-    empty region.
+    (t_k, 1]. ``level_labels`` holds the region of each level 0 .. depth-1
+    of ``image``, the image segmented. A region's value is the mean unit
+    gray of its pixels, or the midpoint of its interval when it holds no
+    pixels. ``region_levels`` is that value as an integer level of the
+    image's depth: ``(2*S + C) // (2*C)`` for a region of ``C`` pixels whose
+    levels sum to ``S`` (the exact mean, halves rounded up), the midpoint
+    rounded half away from zero for an empty region.
     """
 
     thresholds: np.ndarray
-    labels: np.ndarray = field(repr=False)
+    level_labels: np.ndarray
     region_values: np.ndarray
     region_counts: np.ndarray
     region_levels: np.ndarray
+    image: GrayImage = field(repr=False)
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Region of every pixel of ``image``, computed on first access."""
+        return self.image.lookup(self.level_labels)
 
 
 def _check_thresholds(thresholds: np.ndarray) -> np.ndarray:
@@ -55,7 +63,6 @@ def segment(image: GrayImage, thresholds: np.ndarray) -> Segmentation:
         raise EmptyImage("cannot segment an image with no pixels")
     top = image.depth - 1
     level = np.arange(image.depth, dtype=np.int64)
-    # region of every gray level; the per-pixel labels are one gather of it
     level_labels = np.searchsorted(ts, level / top, side="left").astype(
         np.min_scalar_type(ts.size)
     )
@@ -73,20 +80,27 @@ def segment(image: GrayImage, thresholds: np.ndarray) -> Segmentation:
     paint = np.where(full, (2 * sums + c) // (2 * c), np.floor(mids * top + 0.5))
     return Segmentation(
         thresholds=ts,
-        labels=level_labels[image.levels],
+        level_labels=level_labels,
         region_values=values,
         region_counts=counts,
         region_levels=paint.astype(image.levels.dtype),
+        image=image,
     )
 
 
 def render(seg: Segmentation, image: GrayImage) -> GrayImage:
-    """Replace every pixel with its region's level (``region_levels``)."""
-    if seg.labels.size != image.pixel_count:
+    """Replace every pixel with its region's level (``region_levels``).
+
+    The pixels are those of ``seg.image``; ``image`` must have its pixel
+    count and depth and gives the output's width and height.
+    """
+    if seg.image.pixel_count != image.pixel_count:
         raise DimensionMismatch("segmentation does not match the image size")
+    if seg.level_labels.size != image.depth:
+        raise DimensionMismatch("segmentation does not match the image depth")
     return GrayImage(
         width=image.width,
         height=image.height,
-        levels=seg.region_levels[seg.labels],
+        levels=seg.image.lookup(seg.region_levels[seg.level_labels]),
         depth=image.depth,
     )

@@ -7,6 +7,11 @@ import numpy as np
 from neutroseg import GrayImage
 
 
+def unit_levels(image: GrayImage) -> np.ndarray:
+    """Gray value of every pixel on the unit interval: level / (depth - 1)."""
+    return image.levels.astype(np.float64) / (image.depth - 1)
+
+
 def image_from_unit(values, depth: int = 256, width: int | None = None) -> GrayImage:
     """Quantize unit-interval grays into an image, rounding half away from zero."""
     u = np.asarray(values, dtype=np.float64).reshape(-1)

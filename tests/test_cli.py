@@ -93,6 +93,14 @@ class TestThresholdCommand:
 
 
 class TestSegmentCommand:
+    def test_builds_no_per_pixel_labels(self, bimodal_pgm, monkeypatch, capsysbinary):
+        def built(seg):
+            raise AssertionError("per-pixel labels were built")
+
+        monkeypatch.setattr(neutroseg.Segmentation, "labels", property(built))
+        assert cli.main(["segment", bimodal_pgm]) == 0
+        assert capsysbinary.readouterr().out.startswith(b"P5\n100 100\n255\n")
+
     def test_writes_segmented_image(self, bimodal_pgm, tmp_path, capsysbinary):
         out = tmp_path / "seg.pgm"
         rc = cli.main(
@@ -174,6 +182,19 @@ class TestErrorPaths:
     def test_usage_errors(self, argv, capsysbinary):
         assert cli.main(argv) == 1
         assert b"error:" in capsysbinary.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "x.pgm", "--q", "65537"],
+            ["segment", "x.pgm", "--q", "1"],
+            ["threshold", "x.pgm", "--max-thresholds", "0"],
+        ],
+    )
+    def test_range_errors_show_the_subcommand_usage(self, argv, capsysbinary):
+        assert cli.main(argv) == 1
+        err = capsysbinary.readouterr().err.decode()
+        assert f"\nusage: neutroseg {argv[0]} [-h]" in err
 
 
 class TestModuleEntryPoint:

@@ -19,6 +19,7 @@ from neutroseg import (
     entropy_curve,
     parse_curve,
     read_pgm,
+    save_pgm,
     write_curve,
     write_pgm,
 )
@@ -256,6 +257,27 @@ class TestWritePgm:
         img = GrayImage(width=2, height=2, levels=levels, depth=1024)
         with pytest.raises(MaxvalOutOfRange):
             write_pgm(img)
+
+    def test_strided_levels(self):
+        img = GrayImage(width=3, height=1, levels=np.arange(6, dtype=np.uint8)[::2])
+        assert not img.levels.flags.c_contiguous
+        assert write_pgm(img) == b"P5\n3 1\n255\n\x00\x02\x04"
+
+    def test_save_pgm_writes_the_same_bytes(self, tmp_path):
+        img = random_image(5, 9, 7, depth=17)
+        save_pgm(tmp_path / "x.pgm", img)
+        assert (tmp_path / "x.pgm").read_bytes() == write_pgm(img)
+
+    def test_encode_memory_is_one_copy(self):
+        img = random_image(6, 2048, 2048)
+        tracemalloc.start()
+        try:
+            data = write_pgm(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a header joined to tobytes() holds two copies at once
+        assert peak < 1.25 * len(data)
 
 
 class TestCurveFormat:

@@ -1,9 +1,11 @@
 """Region labeling and rendering."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import image_from_unit, random_image
+from conftest import image_from_unit, random_image, unit_levels
 from neutroseg import (
     DimensionMismatch,
     EmptyImage,
@@ -54,7 +56,7 @@ class TestSegment:
         img = random_image(6, 40, 40)
         ts = np.array([0.25, 0.5, 0.75])
         seg = segment(img, ts)
-        g = img.unit_levels()
+        g = unit_levels(img)
         rederived = np.searchsorted(ts, g, side="left")
         assert np.array_equal(seg.labels, rederived)
         assert np.all(np.diff(seg.region_values) >= 0.0)
@@ -82,10 +84,11 @@ class TestRender:
         img = GrayImage(width=3, height=1, levels=np.array([26, 51, 230]), depth=256)
         seg = Segmentation(
             thresholds=np.array([0.3]),
-            labels=np.array([0, 0, 1]),
+            level_labels=(np.arange(256) > 0.3 * 255).astype(np.uint8),
             region_values=np.array([0.15, 0.9]),
             region_counts=np.array([2, 1]),
             region_levels=np.array([38, 230]),
+            image=img,
         )
         out = render(seg, img)
         # render paints region_levels; segment decides them
@@ -140,3 +143,30 @@ class TestRender:
         seg = segment(img, [0.5])
         with pytest.raises(DimensionMismatch):
             render(seg, other)
+
+    def test_depth_mismatch(self):
+        img = random_image(2, 4, 4, depth=256)
+        other = random_image(2, 4, 4, depth=17)
+        with pytest.raises(DimensionMismatch):
+            render(segment(img, [0.5]), other)
+
+    def test_labels_are_built_only_on_access(self):
+        img = random_image(3, 16, 16)
+        seg = segment(img, [0.5])
+        render(seg, img)
+        assert "labels" not in seg.__dict__
+        assert seg.labels is seg.labels
+        assert seg.labels.dtype == seg.level_labels.dtype
+
+    def test_segment_and_render_memory_is_one_raster(self):
+        img = random_image(4, 2048, 2048)
+        assert img.levels.dtype == np.uint8
+        tracemalloc.start()
+        try:
+            out = render(segment(img, [0.3, 0.7]), img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.pixel_count == img.pixel_count
+        # a per-pixel label array beside the repaint reads about 2x
+        assert peak < 1.25 * img.levels.nbytes

@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
-from conftest import random_image
-from neutroseg import GrayImage, build_histogram, read_pgm, render, segment, write_pgm
+import neutroseg.image as image_mod
+from conftest import random_image, unit_levels
+from neutroseg import (
+    EmptyImage,
+    GrayImage,
+    build_histogram,
+    read_pgm,
+    render,
+    segment,
+    write_pgm,
+)
 
 DEPTHS = [2, 17, 101, 256]
 QS = [2, 64, 255, 1000, 4000]
@@ -32,7 +41,7 @@ def test_tables_match_per_pixel_formulas(depth, q):
 
     ts = grid_thresholds(np.random.default_rng(q), q)
     seg = segment(img, ts)
-    labels = np.searchsorted(ts, img.unit_levels(), side="left")
+    labels = np.searchsorted(ts, unit_levels(img), side="left")
     assert np.array_equal(seg.labels, labels)
     assert np.array_equal(seg.region_counts, np.bincount(labels, minlength=ts.size + 1))
 
@@ -69,3 +78,44 @@ def test_decoded_levels_are_uint8(depth):
         back = read_pgm(data)
         assert back.levels.dtype == np.uint8
         assert np.array_equal(back.levels, img.levels)
+
+
+CHUNK = image_mod._CHUNK
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7])
+@pytest.mark.parametrize("depth", [2, 256, 1024])
+def test_gathers_match_per_pixel_formulas_across_chunk_edges(depth, n):
+    img = random_image(n, n, 1, depth=depth)
+    assert img.levels.dtype == (np.uint16 if depth == 1024 else np.uint8)
+    # no entry is zero, so a pixel the gather skips cannot match by chance
+    table = (np.arange(depth) * 7919 % 251 + 1).astype(img.levels.dtype)
+    got = img.lookup(table)
+    assert got.dtype == table.dtype
+    assert got.tolist() == [int(table[v]) for v in img.levels.tolist()]
+
+    ts = np.array([0.3, 0.7])
+    if n == 0:
+        with pytest.raises(EmptyImage):
+            segment(img, ts)
+        return
+    seg = segment(img, ts)
+    labels = np.searchsorted(ts, unit_levels(img), side="left")
+    assert seg.labels.dtype == np.uint8
+    assert np.array_equal(seg.labels, labels)
+
+    out = render(seg, img)
+    assert out.levels.dtype == img.levels.dtype
+    levels = img.levels.astype(np.int64)
+    want = np.empty(n, dtype=np.int64)
+    for r in np.unique(labels):
+        inside = labels == r
+        s, c = int(levels[inside].sum()), int(inside.sum())
+        want[inside] = (2 * s + c) // (2 * c)
+    assert np.array_equal(out.levels, want)
+
+
+def test_lookup_rejects_a_table_of_the_wrong_length():
+    img = random_image(3, 4, 4, depth=17)
+    with pytest.raises(ValueError, match="expected \\(17,\\)"):
+        img.lookup(np.zeros(16, dtype=np.uint8))
