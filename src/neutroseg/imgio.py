@@ -9,6 +9,7 @@ and one row per candidate threshold, 12 significant digits per value.
 from __future__ import annotations
 
 import os
+import re
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -29,9 +30,18 @@ CURVE_HEADER = "t,e_T,e_I,e_F,E"
 
 _MAX_MAXVAL = 255
 
-# the bytes of a raster the vectorised P2 decode takes: decimal digits and
-# the six bytes that bytes.isspace accepts
+# a header field: whitespace and comments, then bytes up to whitespace or #
+_FIELD = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
+
+# a comment runs from any # to the end of its line, in a raster too
+_COMMENT = re.compile(rb"#[^\r\n]*")
+
+# the bytes of a valid P2 raster once comments are blanked: decimal digits
+# and the six bytes that bytes.isspace (and the regex \s) accepts
 _PLAIN_RASTER = b"0123456789 \t\n\r\x0b\x0c"
+
+# the first raster token that holds a byte _PLAIN_RASTER lacks
+_BAD_SAMPLE = re.compile(rb"(?<!\S)\S*?[^\d\s]\S*")
 
 
 class CurveColumns(NamedTuple):
@@ -44,90 +54,62 @@ class CurveColumns(NamedTuple):
     total: np.ndarray
 
 
-def _tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
-    """First ``count`` whitespace-separated header tokens, skipping # comments.
+def _tokens(data: bytes) -> tuple[list[bytes], int]:
+    """The four header fields (magic, width, height, maxval).
 
-    Returns the tokens and the offset just past the last one.
+    Returns the fields and the offset just past the last one.
     """
-    out: list[bytes] = []
-    i = 0
-    n = len(data)
-    while len(out) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i] == 0x23:
-            while i < n and data[i] not in (0x0A, 0x0D):
-                i += 1
-            continue
-        start = i
-        while i < n and not data[i : i + 1].isspace():
-            i += 1
-        if i == start:
+    fields: list[bytes] = []
+    pos = 0
+    for _ in range(4):
+        field = _FIELD.match(data, pos)
+        if not field[1]:
             raise TruncatedData("header ended before all fields were read")
-        out.append(data[start:i])
-    return out, i
+        fields.append(field[1])
+        pos = field.end()
+    return fields, pos
 
 
 def _header_int(token: bytes, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise PgmError(f"malformed {what} field {token!r}") from None
+    if not token.isdigit():
+        raise PgmError(f"malformed {what} field {token!r}")
+    return int(token)
 
 
-def _plain_samples(raster: bytes, count: int, maxval: int) -> np.ndarray | None:
-    """The first ``count`` samples of a P2 raster in one vectorised pass.
-
-    Returns ``None`` unless the raster holds only digits and whitespace, at
-    least ``count`` samples and none above ``maxval`` among them; the token
-    loop in :func:`read_pgm` then decodes it, comments and errors included.
-    """
-    if raster.translate(None, _PLAIN_RASTER):
-        return None
+def _p2_samples(raster: bytes, count: int) -> np.ndarray:
+    """The first ``count`` samples of a P2 raster, as int64."""
+    if b"#" in raster:
+        raster = _COMMENT.sub(b" ", raster)
+    # the translate check is cheap; the regex runs only when it fires
+    bad = raster.translate(None, _PLAIN_RASTER) and _BAD_SAMPLE.search(raster)
+    if bad:
+        raster = raster[: bad.start()]
     digit = np.frombuffer(raster, dtype=np.uint8) >= 0x30
     tokens = int(digit[:1].sum()) + int(np.count_nonzero(digit[1:] > digit[:-1]))
     if tokens < count:
-        return None
-    # fromstring's length is not trusted (it reads a blank raster as [0]),
-    # and it saturates a sample too large for int64, which the range test
-    # below sends to the token loop
-    levels = np.fromstring(raster, dtype=np.int64, sep=" ")
-    if levels.size != tokens:
-        return None
-    levels = levels[:count]
-    if count and int(levels.max()) > maxval:
-        return None
-    return levels.astype(np.uint8)
+        if bad:
+            raise PgmError(f"malformed sample field {bad[0]!r}")
+        raise TruncatedData(f"raster holds {tokens} samples, expected {count}")
+    # a sample too large for int64 is read as its maximum
+    return np.fromstring(raster, dtype=np.int64, count=count, sep=" ")
 
 
 def read_pgm(data: bytes) -> GrayImage:
     """Decode PGM bytes (P2 or P5) into a gray image of depth maxval + 1."""
     if data[:2] not in (b"P2", b"P5"):
         raise BadMagic(f"not a PGM file (magic {data[:2]!r})")
-    head, pos = _tokens(data, 4)
+    head, pos = _tokens(data)
     magic = head[0]
     if magic not in (b"P2", b"P5"):
         raise BadMagic(f"not a PGM file (magic {magic!r})")
     width = _header_int(head[1], "width")
     height = _header_int(head[2], "height")
     maxval = _header_int(head[3], "maxval")
-    if width < 0 or height < 0:
-        raise PgmError("image dimensions must be nonnegative")
     if not 1 <= maxval <= _MAX_MAXVAL:
         raise MaxvalOutOfRange(f"maxval {maxval} outside [1, {_MAX_MAXVAL}]")
     count = width * height
     if magic == b"P2":
-        levels = _plain_samples(data[pos:], count, maxval)
-        if levels is None:
-            toks, _ = _tokens(data, 4 + count)
-            try:
-                levels = np.array(
-                    [_header_int(s, "sample") for s in toks[4:]], dtype=np.int64
-                )
-            except OverflowError:
-                raise SampleOutOfRange(
-                    "a sample does not fit a 64-bit integer"
-                ) from None
+        levels = _p2_samples(data[pos:], count)
     else:
         if pos < len(data) and not data[pos : pos + 1].isspace():
             raise PgmError("raster must be introduced by a whitespace byte")
@@ -141,7 +123,10 @@ def read_pgm(data: bytes) -> GrayImage:
         return GrayImage(width=width, height=height, levels=levels, depth=maxval + 1)
     except ValueError as exc:
         # the header checks above leave the sample range, which GrayImage
-        # checks once, as the only failure
+        # checks once, as the only failure; the span it quotes would show a
+        # saturated P2 sample as a value the file does not hold
+        if int(levels.max()) == np.iinfo(np.int64).max:
+            raise SampleOutOfRange(f"a sample exceeds maxval {maxval}") from None
         raise SampleOutOfRange(f"sample {exc}") from None
 
 

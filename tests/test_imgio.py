@@ -1,5 +1,6 @@
 """PGM codecs and curve serialization."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ from neutroseg import (
     write_curve,
     write_pgm,
 )
-from neutroseg.imgio import CURVE_HEADER, _plain_samples
+from neutroseg.imgio import CURVE_HEADER
 from neutroseg.sweep import EntropyCurve
 
 
@@ -63,8 +64,8 @@ class TestReadPgm:
     def test_truncated_raster(self):
         with pytest.raises(TruncatedData):
             read_pgm(b"P5 2 2 255 \x00\x01")
-        with pytest.raises(TruncatedData):
-            read_pgm(b"P2 2 2 255 0 1 2")
+        with pytest.raises(TruncatedData, match=r"raster holds 3 samples, expected 4"):
+            read_pgm(b"P2 2 2 255 0 1\n# 2\n3")
         with pytest.raises(TruncatedData):
             read_pgm(b"P2 2")
 
@@ -72,13 +73,31 @@ class TestReadPgm:
         with pytest.raises(SampleOutOfRange):
             read_pgm(b"P2 1 1 255 300")
         with pytest.raises(SampleOutOfRange):
-            read_pgm(b"P2 1 1 255 -3")
-        with pytest.raises(SampleOutOfRange):
             read_pgm(b"P5 1 1 100 " + bytes([200]))
+        # a signed sample is not decimal, so it is malformed, not out of range
+        with pytest.raises(PgmError, match=r"malformed sample field b'-3'") as info:
+            read_pgm(b"P2 1 1 255 -3")
+        assert type(info.value) is PgmError
 
     def test_malformed_header_field(self):
         with pytest.raises(PgmError):
             read_pgm(b"P2 x 1 255 0")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P2 1_0 1 255 0", "malformed width field b'1_0'"),
+            (b"P2 1 +1 255 0", "malformed height field b'+1'"),
+            (b"P2 1 1 2_5_5 0", "malformed maxval field b'2_5_5'"),
+            # a field ends at #, but P5 keeps one whitespace byte before its raster
+            (b"P5 2 1 255#c\n\x01", "raster must be introduced by a whitespace byte"),
+        ],
+    )
+    def test_header_errors(self, data, message):
+        with pytest.raises(PgmError) as info:
+            read_pgm(data)
+        assert type(info.value) is PgmError
+        assert str(info.value) == message
 
 
 @st.composite
@@ -141,11 +160,12 @@ _SPACE = " \t\n\r\x0b\x0c"
 
 @st.composite
 def p2_raster_pair(draw):
-    """The same P2 raster without and with a comment between header and raster.
+    """The same P2 raster without and with comments.
 
-    The comment sends the second file through the token loop. Plain rasters
-    (digits and whitespace only) are drawn half of the time, so both the
-    vectorised decode and its fallback are exercised.
+    The twin has a comment after each header field and may have one before
+    any line ending of the raster and at its end: after a blank or directly
+    after a sample, before CR, LF or CRLF. Non-decimal tokens are drawn in
+    half of the rasters.
     """
     width = draw(st.integers(0, 5))
     height = draw(st.integers(0, 5))
@@ -161,8 +181,16 @@ def p2_raster_pair(draw):
     space = st.text(_SPACE, min_size=1, max_size=3).map(str.encode)
     raster = b"".join(draw(space) + draw(token) for _ in range(n))
     raster += draw(st.text(_SPACE, max_size=3).map(str.encode))
+    # a comment holds no line ending, and one more # inside it changes nothing
+    comment = st.binary(max_size=6).map(lambda b: b"#" + b.translate(None, b"\r\n"))
+    twin = re.sub(
+        rb"(?=[\r\n])|\Z",
+        lambda m: draw(comment) if draw(st.booleans()) else b"",
+        raster,
+    )
     head = b"P2\n%d %d\n%d" % (width, height, maxval)
-    return head + raster, head + b" # c\n" + raster
+    twin_head = b"P2# c\n%d# c\n%d# c\n%d" % (width, height, maxval)
+    return head + raster, twin_head + b" # c\n" + twin
 
 
 def decoded(data: bytes):
@@ -177,7 +205,7 @@ def decoded(data: bytes):
 class TestPlainP2Decode:
     @settings(deadline=None, max_examples=400)
     @given(p2_raster_pair())
-    def test_matches_token_loop(self, pair):
+    def test_comments_change_nothing(self, pair):
         plain, commented = pair
         assert decoded(plain) == decoded(commented)
 
@@ -188,7 +216,11 @@ class TestPlainP2Decode:
             (b"P2 4 1 255\t1\x0b2\x0c3\r\n4", [1, 2, 3, 4]),
             (b"P2 2 1 255 007 0", [7, 0]),
             (b"P2 2 1 100 1 2 3 101 " + b"9" * 30, [1, 2]),
-            (b"P2 3 1 255 +5 -0 1_0", [5, 0, 10]),
+            (b"P2 3 1 255 1\t2\n3 4", [1, 2, 3]),
+            (b"P2 2 1 255 1 2 x", [1, 2]),
+            (b"P2 2#c\n1 255 7 9", [7, 9]),
+            (b"P2 4 1 255#c\n7#c\n9 #c\r8#c\r\n6 #", [7, 9, 8, 6]),
+            (b"P2 2 1 255 1 #2 3\n4", [1, 4]),
         ],
     )
     def test_edge_cases(self, data, levels):
@@ -199,8 +231,24 @@ class TestPlainP2Decode:
     @pytest.mark.parametrize(
         "data, message",
         [
+            (b"P2 3 1 255 +5 -0 1_0", "malformed sample field b'+5'"),
+            (b"P2 3 1 255 5 -0 1_0", "malformed sample field b'-0'"),
+            (b"P2 3 1 255 5 0 1_0", "malformed sample field b'1_0'"),
+            (b"P2 2 1 255 1e1 2", "malformed sample field b'1e1'"),
+            (b"P2 2 2 255 0 1 x", "malformed sample field b'x'"),
+        ],
+    )
+    def test_non_decimal_samples(self, data, message):
+        with pytest.raises(PgmError) as info:
+            read_pgm(data)
+        assert type(info.value) is PgmError
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
             (b"P2 2 1 100 7 101", "sample values span [7, 101], allowed [0, 100]"),
-            (b"P2 1 1 255 " + b"9" * 30, "a sample does not fit a 64-bit integer"),
+            (b"P2 1 1 255 " + b"9" * 30, "a sample exceeds maxval 255"),
         ],
     )
     def test_range_errors(self, data, message):
@@ -208,33 +256,21 @@ class TestPlainP2Decode:
             read_pgm(data)
         assert str(info.value) == message
 
-    def test_declines_what_the_token_loop_decides(self):
-        assert _plain_samples(b" 1\t2\n3 4", 3, 255).tolist() == [1, 2, 3]
-        declined = [
-            (b" 1 # 2\n3", 2),  # comment
-            (b" +5 1", 2),  # sign
-            (b" 1e1 2", 2),  # not a decimal integer
-            (b" 1 2", 3),  # short
-            (b"   ", 0),  # blank, read by fromstring as [0]
-            (b" 3 256", 2),  # above maxval
-        ]
-        for raster, count in declined:
-            assert _plain_samples(raster, count, 255) is None
-
     def test_decode_memory_is_bounded(self):
         rng = np.random.default_rng(5)
         rows = rng.integers(0, 256, size=(512 * 512 // 16, 16))
-        raster = "\n".join(" ".join(map(str, row)) for row in rows.tolist())
-        data = b"P2\n512 512\n255\n" + raster.encode() + b"\n"
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            img = read_pgm(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert img.levels.tolist() == rows.reshape(-1).tolist()
-        assert peak < 8 * len(data)
+        for comment in ["", " # a comment on every line"]:
+            lines = (" ".join(map(str, row)) + comment + "\n" for row in rows.tolist())
+            data = b"P2\n512 512\n255\n" + "".join(lines).encode()
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                img = read_pgm(data)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert img.levels.tolist() == rows.reshape(-1).tolist()
+            assert peak < 8 * len(data), comment
 
 
 class TestWritePgm:
