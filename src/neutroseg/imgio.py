@@ -71,9 +71,12 @@ def _tokens(data: bytes) -> tuple[list[bytes], int]:
 
 
 def _header_int(token: bytes, what: str) -> int:
-    if not token.isdigit():
-        raise PgmError(f"malformed {what} field {token!r}")
-    return int(token)
+    if token.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # decimal, but over int()'s digit limit
+            pass
+    raise PgmError(f"malformed {what} field {token!r}")
 
 
 def _p2_samples(raster: bytes, count: int) -> np.ndarray:

@@ -64,8 +64,11 @@ class TestReadPgm:
     def test_truncated_raster(self):
         with pytest.raises(TruncatedData):
             read_pgm(b"P5 2 2 255 \x00\x01")
-        with pytest.raises(TruncatedData, match=r"raster holds 3 samples, expected 4"):
-            read_pgm(b"P2 2 2 255 0 1\n# 2\n3")
+        for data in (b"P2 2 2 255 0 1 2", b"P2 2 2 255 0 1\n# 2\n3"):
+            with pytest.raises(
+                TruncatedData, match=r"raster holds 3 samples, expected 4"
+            ):
+                read_pgm(data)
         with pytest.raises(TruncatedData):
             read_pgm(b"P2 2")
 
@@ -89,6 +92,11 @@ class TestReadPgm:
             (b"P2 1_0 1 255 0", "malformed width field b'1_0'"),
             (b"P2 1 +1 255 0", "malformed height field b'+1'"),
             (b"P2 1 1 2_5_5 0", "malformed maxval field b'2_5_5'"),
+            pytest.param(
+                b"P2 %s 1 255 0" % (b"1" * 5000),
+                "malformed width field b'%s'" % ("1" * 5000),
+                id="decimal-width-longer-than-int-reads",
+            ),
             # a field ends at #, but P5 keeps one whitespace byte before its raster
             (b"P5 2 1 255#c\n\x01", "raster must be introduced by a whitespace byte"),
         ],
