@@ -8,10 +8,11 @@ pair, and score that pair with base-2 Shannon entropy.
 
 Every function takes scalars or broadcastable numpy arrays and evaluates
 elementwise; scalar input yields ``float`` results. The histogram sweep in
-``sweep`` is these functions applied to the bins x candidates grid, so an
-array call and the matching scalar calls produce the same doubles. All are
-pure functions of their arguments and safe to call from any number of
-threads.
+``sweep`` applies these functions to the bins x candidates grid: it evaluates
+:func:`memberships` once per distinct class-mean column and
+:func:`neutrality` and the rest once per cell, so an array call and the
+matching scalar calls produce the same doubles. All are pure functions of
+their arguments and safe to call from any number of threads.
 """
 
 from __future__ import annotations
@@ -72,24 +73,38 @@ def _contest(a: Real, b: Real, tie: float) -> Real:
     return out[()]
 
 
-def neutro_components(x: Real, v1: Real, v2: Real, t: Real) -> NeutroTriple:
-    """Truth/neutrality/falsity of gray level ``x`` given class means and threshold.
+def memberships(x: Real, v1: Real, v2: Real) -> tuple[Real, Real, Real]:
+    """Truth, falsity and nearer-mean dissimilarity of ``x`` given class means.
 
     Truth grows as ``x`` sits nearer the low-class mean ``v1`` than the
-    high-class mean ``v2``; falsity mirrors it; neutrality grows as ``x``
-    approaches the threshold ``t`` relative to the nearer class mean.
-    Degenerate cases resolve by continuity: truth = falsity = 1/2 when ``x``
-    coincides with both means, neutrality = 1 when it coincides with the
-    threshold and the nearer mean.
+    high-class mean ``v2``; falsity mirrors it. Both are 1/2 when ``x``
+    coincides with both means. The third value, min(d(x, v1), d(x, v2)), is
+    what :func:`neutrality` weighs the threshold against.
     """
     d1 = dissimilarity(x, v1)
     d2 = dissimilarity(x, v2)
-    dt = dissimilarity(x, t)
-    return NeutroTriple(
-        truth=_contest(d1, d2, 0.5),
-        neutrality=_contest(dt, np.minimum(d1, d2), 1.0),
-        falsity=_contest(d2, d1, 0.5),
-    )
+    return _contest(d1, d2, 0.5), _contest(d2, d1, 0.5), np.minimum(d1, d2)
+
+
+def neutrality(x: Real, t: Real, nearer: Real) -> Real:
+    """Neutrality of ``x`` at threshold ``t``, against its nearer-mean dissimilarity.
+
+    Grows as ``x`` approaches ``t`` relative to the nearer class mean; 1
+    when ``x`` coincides with the threshold and the nearer mean.
+    """
+    return _contest(dissimilarity(x, t), nearer, 1.0)
+
+
+def neutro_components(x: Real, v1: Real, v2: Real, t: Real) -> NeutroTriple:
+    """Truth/neutrality/falsity of gray level ``x`` given class means and threshold.
+
+    The composition of :func:`memberships` and :func:`neutrality`. Degenerate
+    cases resolve by continuity: truth = falsity = 1/2 when ``x`` coincides
+    with both means, neutrality = 1 when it coincides with the threshold and
+    the nearer mean.
+    """
+    truth, falsity, nearer = memberships(x, v1, v2)
+    return NeutroTriple(truth, neutrality(x, t, nearer), falsity)
 
 
 def bifuzzy(truth: Real, falsity: Real) -> BifuzzyPair:

@@ -8,6 +8,16 @@ are read off the local minima of the resulting total-entropy curve. The
 sweep evaluates the ``core`` formulas on the occupied-bins x candidates grid;
 :func:`partial_entropies` is the scalar reference it is tested against.
 
+Every candidate between two occupied bins splits the histogram the same way,
+so such a group of candidates shares its class means ``v1`` and ``v2``; a new
+group starts wherever a class gains or loses a bin. Truth, falsity and the
+nearer-mean dissimilarity depend on the class means only, so the sweep
+evaluates them once per group in each block and repeats them across the
+group's columns; neutrality and everything after it depend on the threshold
+and are evaluated per cell. The repeated arrays must be C-ordered like the
+rest of the block, because numpy sums a C-ordered block's rows in order but
+reduces an F-ordered one pairwise, which would change the curve's last bits.
+
 The grid is evaluated in blocks of consecutive candidate columns, about
 ``_BLOCK_CELLS`` cells each, so the sweep's memory does not grow with ``q``
 beyond its O(q) per-candidate arrays; ``MAX_Q`` caps those. Every block is at
@@ -22,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import neutro_components, neutro_entropy
+from .core import memberships, neutrality, neutro_components, neutro_entropy
 from .errors import ConstantImage, EmptyImage, NoCandidates, ThresholdOutOfRange
 from .image import GrayImage
 
@@ -189,6 +199,12 @@ def entropy_curve(hist: Histogram) -> EntropyCurve:
     when there are two or more candidates: numpy adds a block's rows in
     order, but sums a lone column pairwise, so a one-column block would
     change the curve. With that minimum every block size gives the same bits.
+
+    Candidates with the same class populations ``n1``, ``n2`` form a group
+    that shares ``v1`` and ``v2``. Each block evaluates :func:`memberships`
+    on one column per group it holds and expands the results with
+    ``np.repeat(..., axis=1)``, which keeps them C-ordered; a fancy-indexed
+    ``m[:, idx]`` would come out F-ordered and be summed pairwise.
     """
     ks = _candidate_indices(hist)
     if ks.size == 0:
@@ -216,8 +232,20 @@ def entropy_curve(hist: Histogram) -> EntropyCurve:
     cells = occ.size * ks.size
     blocks = max(1, min(ks.size // 2, -(-cells // _BLOCK_CELLS)))
     edges = [i * ks.size // blocks for i in range(blocks + 1)]
-    for a, b in zip(edges[:-1], edges[1:]):
-        triple = neutro_components(x, v1s[a:b], v2s[a:b], ts[a:b])
+    # a group of candidates sharing n1 and n2, hence v1 and v2, starts
+    # wherever either changes; memberships are evaluated at the start of
+    # every group and every block, and repeated up to the next start
+    starts = (np.diff(n1, prepend=0) != 0) | (np.diff(n2, prepend=0) != 0)
+    starts[edges[:-1]] = True
+    cols = np.flatnonzero(starts)
+    widths = np.diff(cols, append=ks.size)
+    at = np.searchsorted(cols, edges)
+    for a, b, i, j in zip(edges[:-1], edges[1:], at[:-1], at[1:]):
+        truth, falsity, nearer = (
+            np.repeat(m, widths[i:j], axis=1)
+            for m in memberships(x, v1s[cols[i:j]], v2s[cols[i:j]])
+        )
+        triple = (truth, neutrality(x, ts[a:b], nearer), falsity)
         e = neutro_entropy(*triple)
         for out, w in zip(parts, triple):
             out[a:b] = _weighted_mean(c * w, e)

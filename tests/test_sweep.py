@@ -20,6 +20,8 @@ from neutroseg import (
     class_stats,
     entropy_curve,
     find_thresholds,
+    neutro_components,
+    neutro_entropy,
     partial_entropies,
 )
 
@@ -260,6 +262,103 @@ class TestBlockedSweep:
         assert len(curve) == 15999
         # the whole 256 x 15999 grid evaluated at once peaked at 287 MB
         assert peak < 16 * 2**20
+
+
+def per_cell_curve(hist):
+    """Curve columns with ``neutro_components`` evaluated at every grid cell.
+
+    The same candidates, class means and blocks as :func:`entropy_curve`, but
+    truth, falsity and the nearer-mean distance are computed per cell instead
+    of once per group of candidates that share their class means.
+    """
+    occ = hist.occupied()
+    ks = np.arange(occ[0] + 1, occ[-1], dtype=np.int64)
+    vals = hist.values()
+    cum_n = np.cumsum(hist.counts)
+    cum_k = np.cumsum(hist.counts * np.arange(hist.q + 1, dtype=np.int64))
+    n1 = cum_n[ks]
+    n2 = cum_n[-1] - cum_n[ks - 1]
+    v1s = cum_k[ks] / (n1 * hist.q)
+    v2s = (cum_k[-1] - cum_k[ks - 1]) / (n2 * hist.q)
+    ts = vals[ks]
+    c = hist.counts[occ].astype(np.float64)[:, None]
+    x = vals[occ][:, None]
+    parts = [np.empty(ks.size) for _ in range(3)]
+    cells = occ.size * ks.size
+    blocks = max(1, min(ks.size // 2, -(-cells // sweep._BLOCK_CELLS)))
+    for i in range(blocks):
+        a, b = i * ks.size // blocks, (i + 1) * ks.size // blocks
+        triple = neutro_components(x, v1s[a:b], v2s[a:b], ts[a:b])
+        e = neutro_entropy(*triple)
+        for out, w in zip(parts, triple):
+            out[a:b] = sweep._weighted_mean(c * w, e)
+    return (ts, *parts, (parts[0] + parts[1] + parts[2]) / 3.0)
+
+
+def full_range_image(depth):
+    """One pixel of every level 0 .. depth - 1."""
+    return GrayImage(width=depth, height=1, levels=np.arange(depth), depth=depth)
+
+
+class TestDistinctColumns:
+    """Memberships evaluated once per group of candidates with equal class means."""
+
+    CASES = [
+        (random_image(8, 256, 256), 4000),
+        (image_from_unit([0.0, 0.0, 1.0]), sweep.MAX_Q),
+        (full_range_image(256), 255),
+        (random_image(3, 64, 64, depth=101), 255),
+    ]
+    IDS = ["random256-q4000", "two-level-qmax", "full256-q255", "maxval100-q255"]
+
+    @pytest.mark.parametrize("image, q", CASES, ids=IDS)
+    def test_same_bits_as_per_cell_sweep(self, monkeypatch, image, q):
+        hist = build_histogram(image, q=q)
+        # one reference at the default blocks serves both budgets: blocks of
+        # two or more columns give the same bits (TestBlockedSweep)
+        want = per_cell_curve(hist)
+        for budget in (sweep._BLOCK_CELLS, 2 * hist.occupied().size):
+            monkeypatch.setattr(sweep, "_BLOCK_CELLS", budget)
+            curve = entropy_curve(hist)
+            for name, column in zip(TestBlockedSweep.COLUMNS, want):
+                assert getattr(curve, name).tobytes() == column.tobytes(), name
+
+    @staticmethod
+    def membership_columns(monkeypatch, hist):
+        """Column count of every ``memberships`` call the sweep makes."""
+        seen = []
+        memberships = sweep.memberships
+
+        def spy(x, v1, v2):
+            seen.append(v1.size)
+            return memberships(x, v1, v2)
+
+        monkeypatch.setattr(sweep, "memberships", spy)
+        entropy_curve(hist)
+        return seen
+
+    @pytest.mark.parametrize(
+        "image, q",
+        [
+            (random_image(8, 256, 256), 1000),
+            (random_image(8, 256, 256), sweep.MAX_Q),
+            (image_from_unit([0.0, 0.0, 1.0]), sweep.MAX_Q),
+            (random_image(3, 64, 64, depth=101), 255),
+        ],
+        ids=["random256-q1000", "random256-qmax", "two-level-qmax", "maxval100-q255"],
+    )
+    def test_one_column_per_group_and_block(self, monkeypatch, image, q):
+        hist = build_histogram(image, q=q)
+        seen = self.membership_columns(monkeypatch, hist)
+        # each interior occupied bin starts a group at itself and one after
+        # it; a group cut by a block edge is evaluated once in each block
+        assert sum(seen) <= 2 * hist.occupied().size - 3 + len(seen) - 1
+        assert sum(seen) < candidate_thresholds(hist).size
+
+    def test_every_candidate_occupied(self, monkeypatch):
+        hist = build_histogram(full_range_image(256), q=255)
+        seen = self.membership_columns(monkeypatch, hist)
+        assert sum(seen) == candidate_thresholds(hist).size == 254
 
 
 class TestFindThresholds:
