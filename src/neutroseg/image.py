@@ -7,9 +7,13 @@ from functools import cached_property
 
 import numpy as np
 
-# pixels per bincount or take call: both convert their indices to intp
+# indices per bincount or take call: both convert their indices to intp
 # first, so working in chunks bounds that temporary at 512 KB whatever the
-# image size, and keeps it in cache (2^16 was fastest of 2^12 .. 2^18)
+# image size, and keeps it in cache. A take of uint8 levels covers
+# 2 * _CHUNK pixels, one index per pair. On a 4096^2 image (2-core x86
+# host), 2^16 gave the fastest level count plus render of 2^14 .. 2^18
+# (52 ms against 55-59 ms, medians of 3 fresh processes), and 2^18 raised
+# the CLI's peak RSS from 61.7 to 63.3 MB.
 _CHUNK = 1 << 16
 
 
@@ -20,10 +24,12 @@ class GrayImage:
     ``levels`` holds one integer per pixel in ``[0, depth)``; ``depth`` is the
     source quantization (256 for 8-bit data). The levels are stored in the
     smallest unsigned dtype that holds ``depth - 1`` (``uint8`` for every
-    PGM input). The array is not copied when it already has that dtype, and
-    :attr:`level_counts` is computed once, so it must not be modified after
-    construction. Per-pixel values derived from the levels are gathered from
-    a per-level table with :meth:`lookup`.
+    PGM input), as one contiguous array. The array is not copied when it is
+    already contiguous with that dtype, and :attr:`level_counts` is computed
+    once, so it must not be modified after construction. Per-pixel values
+    derived from the levels are gathered from a per-level table with
+    :meth:`lookup`; ``uint8`` levels are gathered two pixels per index,
+    through a 65536-entry table of level pairs.
     """
 
     width: int
@@ -55,6 +61,8 @@ class GrayImage:
                 )
         # the smallest unsigned dtype that holds depth - 1
         levels = levels.astype(np.min_scalar_type(self.depth - 1), copy=False)
+        # lookup views the raster as byte pairs, which needs it contiguous
+        levels = np.ascontiguousarray(levels)
         object.__setattr__(self, "levels", levels)
 
     @property
@@ -75,16 +83,43 @@ class GrayImage:
         """``table[levels]``: one entry of ``table`` per pixel, in its dtype.
 
         ``table`` holds one value per level, ``depth`` entries in all.
+        ``uint8`` levels are gathered two pixels per index: adjacent levels
+        ``(a, b)`` index entry ``a + 256*b`` of a 65536-entry table of level
+        pairs. Wider levels are gathered one pixel per index.
         """
         table = np.asarray(table)
         if table.shape != (self.depth,):
             raise ValueError(
                 f"table has shape {table.shape}, expected ({self.depth},)"
             )
-        out = np.empty(self.levels.size, dtype=table.dtype)
-        for start in range(0, self.levels.size, _CHUNK):
-            stop = start + _CHUNK
-            # every level is below depth, so "clip" never clips; unlike the
-            # default "raise" it writes into out without a buffer
-            np.take(table, self.levels[start:stop], out=out[start:stop], mode="clip")
+        levels = self.levels
+        out = np.empty(levels.size, dtype=table.dtype)
+        if levels.dtype != np.uint8 or table.dtype.hasobject:
+            _take(table, levels, out)
+            return out
+        # "<u2", not native uint16, so that levels (a, b) read as a + 256*b
+        # on any host
+        half = levels.size // 2
+        pairs = _pair_table(table)
+        _take(pairs, levels[: 2 * half].view("<u2"), out[: 2 * half].view(pairs.dtype))
+        if levels.size % 2:
+            out[-1] = table[levels[-1]]
         return out
+
+
+def _pair_table(table: np.ndarray) -> np.ndarray:
+    """Entry ``a + 256*b`` holds ``table[a]`` then ``table[b]``, as one void."""
+    depth = table.size
+    grid = np.zeros((256, 256, 2), dtype=table.dtype)
+    grid[:, :depth, 0] = table
+    grid[:depth, :, 1] = table[:, None]
+    return grid.view(np.dtype((np.void, 2 * table.itemsize))).reshape(-1)
+
+
+def _take(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+    """``out[:] = table[index]``, in chunks of ``_CHUNK`` indices."""
+    for start in range(0, index.size, _CHUNK):
+        stop = start + _CHUNK
+        # every index is in range, so "clip" never clips; unlike the
+        # default "raise" it writes into out without a buffer
+        np.take(table, index[start:stop], out=out[start:stop], mode="clip")

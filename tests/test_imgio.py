@@ -303,8 +303,9 @@ class TestWritePgm:
             write_pgm(img)
 
     def test_strided_levels(self):
-        img = GrayImage(width=3, height=1, levels=np.arange(6, dtype=np.uint8)[::2])
-        assert not img.levels.flags.c_contiguous
+        raw = np.arange(6, dtype=np.uint8)[::2]
+        assert not raw.flags.c_contiguous
+        img = GrayImage(width=3, height=1, levels=raw)
         assert write_pgm(img) == b"P5\n3 1\n255\n\x00\x02\x04"
 
     def test_save_pgm_writes_the_same_bytes(self, tmp_path):

@@ -31,6 +31,17 @@ def grid_thresholds(rng: np.random.Generator, q: int) -> np.ndarray:
     return np.sort(ks) / q
 
 
+def region_means(levels: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Every pixel's region mean level ``(2*S + C) // (2*C)``, per region."""
+    levels = levels.astype(np.int64)
+    want = np.empty(levels.size, dtype=np.int64)
+    for r in np.unique(labels):
+        inside = labels == r
+        s, c = int(levels[inside].sum()), int(inside.sum())
+        want[inside] = (2 * s + c) // (2 * c)
+    return want
+
+
 @pytest.mark.parametrize("q", QS)
 @pytest.mark.parametrize("depth", DEPTHS)
 def test_tables_match_per_pixel_formulas(depth, q):
@@ -47,11 +58,7 @@ def test_tables_match_per_pixel_formulas(depth, q):
 
     # every nonempty region repaints to its exact mean level, halves up
     out = render(seg, img)
-    levels = img.levels.astype(np.int64)
-    for r in np.flatnonzero(seg.region_counts):
-        inside = labels == r
-        s, c = int(levels[inside].sum()), int(inside.sum())
-        assert np.all(out.levels[inside] == (2 * s + c) // (2 * c))
+    assert np.array_equal(out.levels, region_means(img.levels, labels))
 
 
 def test_level_counts_across_a_partial_chunk():
@@ -81,41 +88,90 @@ def test_decoded_levels_are_uint8(depth):
 
 
 CHUNK = image_mod._CHUNK
+TABLE_DTYPES = [np.uint8, np.uint16, np.int64, ">u2"]
 
 
-@pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7])
-@pytest.mark.parametrize("depth", [2, 256, 1024])
+def level_table(depth: int, dtype) -> np.ndarray:
+    """A table with no zero entry whose top and bottom bytes both vary by level.
+
+    No entry is zero, so a pixel a gather skips cannot match by chance, and
+    a gather that mixes up bytes or neighbouring entries changes the value.
+    """
+    v = np.arange(depth, dtype=np.uint64) * 7919 % 251 + 1
+    top = np.uint64(8 * np.dtype(dtype).itemsize - 8)
+    return (v << top | v).astype(dtype)
+
+
+def check_lookup(img: GrayImage) -> None:
+    for dtype in TABLE_DTYPES:
+        table = level_table(img.depth, dtype)
+        got = img.lookup(table)
+        assert got.dtype == table.dtype
+        assert got.tobytes() == table[img.levels].tobytes()
+        entries = table.tolist()
+        assert got.tolist() == [entries[v] for v in img.levels.tolist()]
+
+
+def check_pipeline(img: GrayImage, levels: np.ndarray) -> None:
+    """Counts, labels and repaint of ``img`` against its raw ``levels``."""
+    assert np.array_equal(img.level_counts, np.bincount(levels, minlength=img.depth))
+    ts = np.array([0.3, 0.7])
+    seg = segment(img, ts)
+    labels = np.searchsorted(ts, levels / (img.depth - 1), side="left")
+    assert seg.labels.dtype == np.uint8
+    assert np.array_equal(seg.labels, labels)
+    out = render(seg, img)
+    assert out.levels.dtype == img.levels.dtype
+    assert np.array_equal(out.levels, region_means(levels, labels))
+
+
+EDGES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, *EDGES, 2 * CHUNK + 7])
+@pytest.mark.parametrize("depth", [2, 101, 256, 1024])
 def test_gathers_match_per_pixel_formulas_across_chunk_edges(depth, n):
     img = random_image(n, n, 1, depth=depth)
     assert img.levels.dtype == (np.uint16 if depth == 1024 else np.uint8)
-    # no entry is zero, so a pixel the gather skips cannot match by chance
-    table = (np.arange(depth) * 7919 % 251 + 1).astype(img.levels.dtype)
-    got = img.lookup(table)
-    assert got.dtype == table.dtype
-    assert got.tolist() == [int(table[v]) for v in img.levels.tolist()]
+    check_lookup(img)
+    if depth <= 256:
+        # read_pgm's P5 raster: a view of the file's bytes at an odd offset
+        raster = np.frombuffer(b"P" + img.levels.tobytes(), dtype=np.uint8, offset=1)
+        assert raster.ctypes.data % 2 == 1
+        check_lookup(GrayImage(n, 1, raster, depth=depth))
 
-    ts = np.array([0.3, 0.7])
     if n == 0:
         with pytest.raises(EmptyImage):
-            segment(img, ts)
+            segment(img, [0.3, 0.7])
         return
-    seg = segment(img, ts)
-    labels = np.searchsorted(ts, unit_levels(img), side="left")
-    assert seg.labels.dtype == np.uint8
-    assert np.array_equal(seg.labels, labels)
+    check_pipeline(img, img.levels.astype(np.int64))
 
-    out = render(seg, img)
-    assert out.levels.dtype == img.levels.dtype
-    levels = img.levels.astype(np.int64)
-    want = np.empty(n, dtype=np.int64)
-    for r in np.unique(labels):
-        inside = labels == r
-        s, c = int(levels[inside].sum()), int(inside.sum())
-        want[inside] = (2 * s + c) // (2 * c)
-    assert np.array_equal(out.levels, want)
+
+def test_non_contiguous_levels_are_stored_contiguous():
+    rng = np.random.default_rng(5)
+    base = rng.integers(0, 256, 2001).astype(np.uint8)
+    grid = rng.integers(0, 256, (37, 48)).astype(np.uint8)
+    for raw, width, height in ((base[::2], 1001, 1), (grid.T, 37, 48)):
+        img = GrayImage(width, height, raw, depth=256)
+        assert img.levels.flags.c_contiguous
+        levels = raw.reshape(-1).astype(np.int64)
+        assert np.array_equal(img.levels, levels)
+        check_lookup(img)
+        check_pipeline(img, levels)
+    # a contiguous raster of the right dtype is kept, not copied
+    assert np.shares_memory(GrayImage(2001, 1, base, depth=256).levels, base)
 
 
 def test_lookup_rejects_a_table_of_the_wrong_length():
     img = random_image(3, 4, 4, depth=17)
     with pytest.raises(ValueError, match="expected \\(17,\\)"):
         img.lookup(np.zeros(16, dtype=np.uint8))
+
+
+def test_lookup_of_an_object_table_gathers_one_pixel_per_index():
+    # object references cannot be viewed as raw bytes, so no pair table
+    img = random_image(4, 5, 3)
+    table = np.array([f"level {v}" for v in range(256)], dtype=object)
+    got = img.lookup(table)
+    assert got.dtype == object
+    assert got.tolist() == [f"level {v}" for v in img.levels.tolist()]
