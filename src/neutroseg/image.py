@@ -9,27 +9,25 @@ import numpy as np
 
 # indices per bincount or take call: both convert their indices to intp
 # first, so working in chunks bounds that temporary at 512 KB whatever the
-# image size, and keeps it in cache. A take of uint8 levels covers
-# 2 * _CHUNK pixels, one index per pair. On a 4096^2 image (2-core x86
-# host), 2^16 gave the fastest level count plus render of 2^14 .. 2^18
-# (52 ms against 55-59 ms, medians of 3 fresh processes), and 2^18 raised
-# the CLI's peak RSS from 61.7 to 63.3 MB.
+# image size, and keeps it in cache. A take covers 2 * _CHUNK pixels, one
+# index per pair of levels. On a 4096^2 image (2-core x86 host), 2^16 gave
+# the fastest level count plus render of 2^14 .. 2^18 (52 ms against
+# 55-59 ms, medians of 3 fresh processes), and 2^18 raised the CLI's peak
+# RSS from 61.7 to 63.3 MB.
 _CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
 class GrayImage:
-    """Flat, row-major raster of integer gray levels.
+    """Flat, row-major raster of 8-bit gray levels.
 
     ``levels`` holds one integer per pixel in ``[0, depth)``; ``depth`` is the
-    source quantization (256 for 8-bit data). The levels are stored in the
-    smallest unsigned dtype that holds ``depth - 1`` (``uint8`` for every
-    PGM input), as one contiguous array. The array is not copied when it is
-    already contiguous with that dtype, and :attr:`level_counts` is computed
-    once, so it must not be modified after construction. Per-pixel values
-    derived from the levels are gathered from a per-level table with
-    :meth:`lookup`; ``uint8`` levels are gathered two pixels per index,
-    through a 65536-entry table of level pairs.
+    source quantization, 2 to 256 (256 for 8-bit data). The levels are
+    stored as one contiguous ``uint8`` array, not copied when they already
+    are one, and :attr:`level_counts` is computed once, so they must not be
+    modified after construction. Per-pixel values derived from the levels
+    are gathered from a per-level table with :meth:`lookup`, two pixels per
+    index, through a 65536-entry table of level pairs.
     """
 
     width: int
@@ -42,8 +40,8 @@ class GrayImage:
         if not np.issubdtype(levels.dtype, np.integer):
             raise ValueError("levels must be an integer array")
         levels = levels.reshape(-1)
-        if self.depth < 2:
-            raise ValueError("depth must be at least 2")
+        if not 2 <= self.depth <= 256:
+            raise ValueError(f"depth {self.depth} outside [2, 256]")
         if self.width < 0 or self.height < 0:
             raise ValueError("dimensions must be nonnegative")
         if levels.size != self.width * self.height:
@@ -59,10 +57,8 @@ class GrayImage:
                 raise ValueError(
                     f"values span [{lo}, {hi}], allowed [0, {self.depth - 1}]"
                 )
-        # the smallest unsigned dtype that holds depth - 1
-        levels = levels.astype(np.min_scalar_type(self.depth - 1), copy=False)
         # lookup views the raster as byte pairs, which needs it contiguous
-        levels = np.ascontiguousarray(levels)
+        levels = np.ascontiguousarray(levels, dtype=np.uint8)
         object.__setattr__(self, "levels", levels)
 
     @property
@@ -82,10 +78,11 @@ class GrayImage:
     def lookup(self, table: np.ndarray) -> np.ndarray:
         """``table[levels]``: one entry of ``table`` per pixel, in its dtype.
 
-        ``table`` holds one value per level, ``depth`` entries in all.
-        ``uint8`` levels are gathered two pixels per index: adjacent levels
-        ``(a, b)`` index entry ``a + 256*b`` of a 65536-entry table of level
-        pairs. Wider levels are gathered one pixel per index.
+        ``table`` is a numeric array with one value per level, ``depth``
+        entries in all. Adjacent levels ``(a, b)`` index entry ``a + 256*b``
+        of a 65536-entry table of level pairs, so each gathered index fills
+        two pixels. An object table cannot be viewed as level pairs and
+        raises ``TypeError``.
         """
         table = np.asarray(table)
         if table.shape != (self.depth,):
@@ -94,14 +91,17 @@ class GrayImage:
             )
         levels = self.levels
         out = np.empty(levels.size, dtype=table.dtype)
-        if levels.dtype != np.uint8 or table.dtype.hasobject:
-            _take(table, levels, out)
-            return out
-        # "<u2", not native uint16, so that levels (a, b) read as a + 256*b
-        # on any host
         half = levels.size // 2
         pairs = _pair_table(table)
-        _take(pairs, levels[: 2 * half].view("<u2"), out[: 2 * half].view(pairs.dtype))
+        # "<u2", not native uint16, so that levels (a, b) read as a + 256*b
+        # on any host
+        index = levels[: 2 * half].view("<u2")
+        dest = out[: 2 * half].view(pairs.dtype)
+        for start in range(0, half, _CHUNK):
+            stop = start + _CHUNK
+            # every index is in range, so "clip" never clips; unlike the
+            # default "raise" it writes into out without a buffer
+            np.take(pairs, index[start:stop], out=dest[start:stop], mode="clip")
         if levels.size % 2:
             out[-1] = table[levels[-1]]
         return out
@@ -114,12 +114,3 @@ def _pair_table(table: np.ndarray) -> np.ndarray:
     grid[:, :depth, 0] = table
     grid[:depth, :, 1] = table[:, None]
     return grid.view(np.dtype((np.void, 2 * table.itemsize))).reshape(-1)
-
-
-def _take(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
-    """``out[:] = table[index]``, in chunks of ``_CHUNK`` indices."""
-    for start in range(0, index.size, _CHUNK):
-        stop = start + _CHUNK
-        # every index is in range, so "clip" never clips; unlike the
-        # default "raise" it writes into out without a buffer
-        np.take(table, index[start:stop], out=out[start:stop], mode="clip")

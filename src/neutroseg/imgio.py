@@ -134,21 +134,19 @@ def read_pgm(data: bytes) -> GrayImage:
 
 
 def pgm_parts(image: GrayImage) -> tuple[bytes, memoryview]:
-    """Header and raster of ``image`` (depth at most 256) as binary PGM.
+    """Header and raster of ``image`` as binary PGM.
 
-    The raster is a view of the image's levels (``uint8`` and contiguous
-    for any depth up to 256), not a copy; written one after the other, the
-    two parts are the file.
+    The raster is a view of the image's levels (always contiguous
+    ``uint8``), not a copy; written one after the other, the two parts are
+    the file.
     """
     maxval = image.depth - 1
-    if maxval > _MAX_MAXVAL:
-        raise MaxvalOutOfRange(f"depth {image.depth} does not fit an 8-bit file")
     header = f"P5\n{image.width} {image.height}\n{maxval}\n".encode("ascii")
     return header, memoryview(image.levels)
 
 
 def write_pgm(image: GrayImage) -> bytes:
-    """Encode a gray image (depth at most 256) as binary PGM bytes."""
+    """Encode a gray image as binary PGM bytes."""
     return b"".join(pgm_parts(image))
 
 

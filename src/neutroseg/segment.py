@@ -45,7 +45,8 @@ class Segmentation:
 
 def _check_thresholds(thresholds: np.ndarray) -> np.ndarray:
     ts = np.asarray(thresholds, dtype=np.float64).reshape(-1)
-    if np.any(ts <= 0.0) or np.any(ts >= 1.0):
+    # written so that NaN, for which every comparison is false, fails it
+    if not np.all((ts > 0.0) & (ts < 1.0)):
         raise ThresholdOutOfRange("thresholds must lie strictly inside (0, 1)")
     if np.any(np.diff(ts) <= 0.0):
         raise UnsortedThresholds("thresholds must be strictly increasing")

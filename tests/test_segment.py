@@ -73,6 +73,12 @@ class TestSegment:
         with pytest.raises(ThresholdOutOfRange):
             segment(img, [1.0])
 
+    @pytest.mark.parametrize("thresholds", [[np.nan], [0.3, np.nan]])
+    def test_nan_threshold_rejected(self, thresholds):
+        img = image_from_unit([0.1, 0.9])
+        with pytest.raises(ThresholdOutOfRange):
+            segment(img, thresholds)
+
     def test_empty_image_rejected(self):
         img = GrayImage(width=0, height=3, levels=np.array([], dtype=np.int64))
         with pytest.raises(EmptyImage):

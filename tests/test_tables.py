@@ -69,11 +69,14 @@ def test_level_counts_across_a_partial_chunk():
     assert not img.level_counts.flags.writeable
 
 
-def test_levels_use_the_smallest_unsigned_dtype():
-    assert random_image(1, 4, 4, depth=256).levels.dtype == np.uint8
-    deep = GrayImage(width=2, height=1, levels=np.array([0, 1023]), depth=1024)
-    assert deep.levels.dtype == np.uint16
-    assert list(deep.level_counts[[0, 1023]]) == [1, 1]
+def test_depth_outside_2_to_256_is_rejected_and_levels_are_uint8():
+    for depth in (1, 257, 2**40):
+        with pytest.raises(ValueError, match="outside \\[2, 256\\]"):
+            GrayImage(width=1, height=1, levels=np.array([0]), depth=depth)
+    img = GrayImage(width=2, height=1, levels=np.array([0, 255], dtype=np.int64))
+    assert img.levels.dtype == np.uint8
+    assert list(img.levels) == [0, 255]
+    assert list(img.level_counts[[0, 255]]) == [1, 1]
 
 
 @pytest.mark.parametrize("depth", DEPTHS)
@@ -129,16 +132,15 @@ EDGES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1]
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, *EDGES, 2 * CHUNK + 7])
-@pytest.mark.parametrize("depth", [2, 101, 256, 1024])
+@pytest.mark.parametrize("depth", [2, 101, 256])
 def test_gathers_match_per_pixel_formulas_across_chunk_edges(depth, n):
     img = random_image(n, n, 1, depth=depth)
-    assert img.levels.dtype == (np.uint16 if depth == 1024 else np.uint8)
+    assert img.levels.dtype == np.uint8
     check_lookup(img)
-    if depth <= 256:
-        # read_pgm's P5 raster: a view of the file's bytes at an odd offset
-        raster = np.frombuffer(b"P" + img.levels.tobytes(), dtype=np.uint8, offset=1)
-        assert raster.ctypes.data % 2 == 1
-        check_lookup(GrayImage(n, 1, raster, depth=depth))
+    # read_pgm's P5 raster: a view of the file's bytes at an odd offset
+    raster = np.frombuffer(b"P" + img.levels.tobytes(), dtype=np.uint8, offset=1)
+    assert raster.ctypes.data % 2 == 1
+    check_lookup(GrayImage(n, 1, raster, depth=depth))
 
     if n == 0:
         with pytest.raises(EmptyImage):
@@ -168,10 +170,9 @@ def test_lookup_rejects_a_table_of_the_wrong_length():
         img.lookup(np.zeros(16, dtype=np.uint8))
 
 
-def test_lookup_of_an_object_table_gathers_one_pixel_per_index():
+def test_lookup_of_an_object_table_raises_type_error():
     # object references cannot be viewed as raw bytes, so no pair table
     img = random_image(4, 5, 3)
     table = np.array([f"level {v}" for v in range(256)], dtype=object)
-    got = img.lookup(table)
-    assert got.dtype == object
-    assert got.tolist() == [f"level {v}" for v in img.levels.tolist()]
+    with pytest.raises(TypeError):
+        img.lookup(table)
