@@ -13,13 +13,16 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from . import axioms as axioms_mod
 from . import imgio
 from .errors import NeutrosegError
 from .image import GrayImage
-from .segment import Segmentation, render, segment
+from .segment import Segmentation, _level_paint, segment
 from .sweep import (
     MAX_Q,
     EntropyCurve,
@@ -85,6 +88,8 @@ def _check_args(command: _Parser, args: argparse.Namespace) -> None:
     if args.command == "axioms":
         if args.samples < 1:
             command.error("--samples must be positive")
+        elif args.seed < 0:
+            command.error("--seed must be nonnegative")
     elif args.q < 2:
         command.error("--q must be at least 2")
     elif args.q > MAX_Q:
@@ -93,7 +98,10 @@ def _check_args(command: _Parser, args: argparse.Namespace) -> None:
         command.error("--max-thresholds must be at least 1")
 
 
-def _emit(path: Optional[str], *parts: bytes | memoryview) -> None:
+def _emit(
+    path: Optional[str], parts: Iterable[bytes | memoryview | np.ndarray]
+) -> None:
+    """Write ``parts`` in order, taking each from the iterable as it goes."""
     if path is None:
         sys.stdout.buffer.writelines(parts)
         sys.stdout.buffer.flush()
@@ -127,7 +135,7 @@ def _threshold_line(t: float, depth: int) -> str:
 def cmd_curve(args: argparse.Namespace) -> int:
     _, curve = _image_curve(args)
     print(f"candidates: {len(curve)}", file=sys.stderr)
-    _emit(args.out, imgio.write_curve(curve))
+    _emit(args.out, [imgio.write_curve(curve)])
     return EXIT_OK
 
 
@@ -136,7 +144,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     if args.curve_out:
         imgio.save_curve(args.curve_out, curve)
     lines = [_threshold_line(t, image.depth) for t in found.thresholds]
-    _emit(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
+    _emit(args.out, [("\n".join(lines) + "\n").encode("utf-8")])
     return EXIT_OK
 
 
@@ -153,7 +161,11 @@ def cmd_segment(args: argparse.Namespace) -> int:
         imgio.save_curve(args.curve_out, curve)
     seg = segment(image, found.thresholds)
     _report_segmentation(seg, image.depth)
-    _emit(args.out, *imgio.pgm_parts(render(seg, image)))
+    # the repaint keeps the input's size and depth, so its header; the
+    # raster is streamed in slices, never held whole beside the input
+    header, _ = imgio.pgm_parts(image)
+    raster = image._lookup_slices(_level_paint(seg))
+    _emit(args.out, chain([header], raster))
     return EXIT_OK
 
 

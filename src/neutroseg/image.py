@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -15,6 +16,15 @@ import numpy as np
 # 55-59 ms, medians of 3 fresh processes), and 2^18 raised the CLI's peak
 # RSS from 61.7 to 63.3 MB.
 _CHUNK = 1 << 16
+
+# pixels per slice of a streamed repaint (GrayImage._lookup_slices), whose
+# one buffer is all the CLI writer holds beside the input. On a 4096^2 P5
+# (2-core x86 host), `segment --out` peaked at 47.2-47.4 MB RSS for 2^18 ..
+# 2^20 (61.7-61.8 MB writing a whole repaint), 47.8-47.9 MB for 2^21 and
+# 49.7-49.8 MB for 2^22, 3 fresh processes each; writing the repaint took
+# the same 17-18 ms to /dev/null at every size from 2^17 to 2^22. The
+# largest size on the flat part makes the fewest write calls.
+_SLICE = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,27 +94,56 @@ class GrayImage:
         two pixels. An object table cannot be viewed as level pairs and
         raises ``TypeError``.
         """
+        table = self._check_table(table)
+        out = np.empty(self.levels.size, dtype=table.dtype)
+        _gather(self.levels, table, _pair_table(table), out)
+        return out
+
+    def _lookup_slices(self, table: np.ndarray) -> Iterator[np.ndarray]:
+        """:meth:`lookup` in consecutive slices of ``_SLICE`` pixels.
+
+        The table is checked and its pair table built on the call, before
+        the first slice is asked for. Every slice is gathered into one
+        buffer, so a slice must be consumed before the next is requested.
+        """
+        table = self._check_table(table)
+        pairs = _pair_table(table)
+        size = self.levels.size
+        buf = np.empty(min(_SLICE, size), dtype=table.dtype)
+
+        def slices() -> Iterator[np.ndarray]:
+            for start in range(0, size, _SLICE):
+                part = self.levels[start : start + _SLICE]
+                _gather(part, table, pairs, buf[: part.size])
+                yield buf[: part.size]
+
+        return slices()
+
+    def _check_table(self, table: np.ndarray) -> np.ndarray:
         table = np.asarray(table)
         if table.shape != (self.depth,):
             raise ValueError(
                 f"table has shape {table.shape}, expected ({self.depth},)"
             )
-        levels = self.levels
-        out = np.empty(levels.size, dtype=table.dtype)
-        half = levels.size // 2
-        pairs = _pair_table(table)
-        # "<u2", not native uint16, so that levels (a, b) read as a + 256*b
-        # on any host
-        index = levels[: 2 * half].view("<u2")
-        dest = out[: 2 * half].view(pairs.dtype)
-        for start in range(0, half, _CHUNK):
-            stop = start + _CHUNK
-            # every index is in range, so "clip" never clips; unlike the
-            # default "raise" it writes into out without a buffer
-            np.take(pairs, index[start:stop], out=dest[start:stop], mode="clip")
-        if levels.size % 2:
-            out[-1] = table[levels[-1]]
-        return out
+        return table
+
+
+def _gather(
+    levels: np.ndarray, table: np.ndarray, pairs: np.ndarray, out: np.ndarray
+) -> None:
+    """Write ``table[levels]`` into ``out``, two pixels per ``pairs`` index."""
+    half = levels.size // 2
+    # "<u2", not native uint16, so that levels (a, b) read as a + 256*b
+    # on any host
+    index = levels[: 2 * half].view("<u2")
+    dest = out[: 2 * half].view(pairs.dtype)
+    for start in range(0, half, _CHUNK):
+        stop = start + _CHUNK
+        # every index is in range, so "clip" never clips; unlike the
+        # default "raise" it writes into out without a buffer
+        np.take(pairs, index[start:stop], out=dest[start:stop], mode="clip")
+    if levels.size % 2:
+        out[-1] = table[levels[-1]]
 
 
 def _pair_table(table: np.ndarray) -> np.ndarray:

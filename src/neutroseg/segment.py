@@ -89,6 +89,11 @@ def segment(image: GrayImage, thresholds: np.ndarray) -> Segmentation:
     )
 
 
+def _level_paint(seg: Segmentation) -> np.ndarray:
+    """The level that each gray level 0 .. depth-1 is repainted with."""
+    return seg.region_levels[seg.level_labels]
+
+
 def render(seg: Segmentation, image: GrayImage) -> GrayImage:
     """Replace every pixel with its region's level (``region_levels``).
 
@@ -102,6 +107,6 @@ def render(seg: Segmentation, image: GrayImage) -> GrayImage:
     return GrayImage(
         width=image.width,
         height=image.height,
-        levels=seg.image.lookup(seg.region_levels[seg.level_labels]),
+        levels=seg.image.lookup(_level_paint(seg)),
         depth=image.depth,
     )

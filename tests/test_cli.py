@@ -11,8 +11,21 @@ import pytest
 
 from conftest import image_from_unit, mixture_image
 import neutroseg
-from neutroseg import AxiomCheck, load_pgm, parse_curve, save_pgm
+from neutroseg import (
+    AxiomCheck,
+    GrayImage,
+    build_histogram,
+    entropy_curve,
+    find_thresholds,
+    load_pgm,
+    parse_curve,
+    render,
+    save_pgm,
+    segment,
+    write_pgm,
+)
 import neutroseg.cli as cli
+import neutroseg.image as image_mod
 
 
 @pytest.fixture
@@ -138,6 +151,74 @@ class TestSegmentCommand:
         assert cli.main(["segment", two_delta_pgm]) == 0
         assert capsysbinary.readouterr().out.startswith(b"P5\n")
 
+    def test_output_may_overwrite_the_input(self, bimodal_pgm, tmp_path):
+        other = tmp_path / "other.pgm"
+        assert cli.main(["segment", bimodal_pgm, "--out", str(other)]) == 0
+        assert cli.main(["segment", bimodal_pgm, "--out", bimodal_pgm]) == 0
+        assert Path(bimodal_pgm).read_bytes() == other.read_bytes()
+
+    @pytest.mark.parametrize(
+        "module, name", [(cli, "segment"), (image_mod, "_pair_table")]
+    )
+    def test_failure_before_output_leaves_out_untouched(
+        self, module, name, bimodal_pgm, tmp_path, monkeypatch, capsysbinary
+    ):
+        def exhausted(*args):
+            raise MemoryError
+
+        out = tmp_path / "old.pgm"
+        out.write_bytes(b"old bytes")
+        monkeypatch.setattr(module, name, exhausted)
+        assert cli.main(["segment", bimodal_pgm, "--out", str(out)]) == 2
+        assert capsysbinary.readouterr().err.endswith(b"error: out of memory\n")
+        assert out.read_bytes() == b"old bytes"
+
+
+def _expected_segment_output(img: GrayImage) -> bytes:
+    """``write_pgm(render(...))`` at the CLI's default --q and cap."""
+    curve = entropy_curve(build_histogram(img, q=255))
+    ts = find_thresholds(curve, max_thresholds=8).thresholds
+    return write_pgm(render(segment(img, ts), img))
+
+
+def _varied_image(n: int, depth: int) -> GrayImage:
+    """``n`` random levels, the first and last the ends of the range."""
+    levels = np.random.default_rng([n, depth]).integers(0, depth, n)
+    levels[0], levels[-1] = 0, depth - 1
+    return GrayImage(width=n, height=1, levels=levels, depth=depth)
+
+
+class TestStreamedRepaint:
+    """segment writes the repaint slice by slice, through one reused buffer."""
+
+    def check(self, img, tmp_path, capsysbinary):
+        path = tmp_path / "in.pgm"
+        save_pgm(path, img)
+        want = _expected_segment_output(img)
+        out = tmp_path / "out.pgm"
+        assert cli.main(["segment", str(path), "--out", str(out)]) == 0
+        assert out.read_bytes() == want
+        capsysbinary.readouterr()
+        assert cli.main(["segment", str(path)]) == 0
+        assert capsysbinary.readouterr().out == want
+
+    @pytest.mark.parametrize("depth", [2, 17, 101, 256])
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 19])
+    def test_matches_the_whole_repaint_across_slice_edges(
+        self, n, depth, tmp_path, monkeypatch, capsysbinary
+    ):
+        # slices of 8 pixels: n is 2, slice - 1, slice, slice + 1 and
+        # 2 * slice + 3 (a single pixel is a constant image, which the CLI
+        # rejects before writing)
+        monkeypatch.setattr(image_mod, "_SLICE", 8)
+        self.check(_varied_image(n, depth), tmp_path, capsysbinary)
+
+    def test_matches_the_whole_repaint_beyond_one_real_slice(
+        self, tmp_path, capsysbinary
+    ):
+        n = 2 * image_mod._SLICE + 3
+        self.check(_varied_image(n, 256), tmp_path, capsysbinary)
+
 
 class TestErrorPaths:
     def test_constant_image_is_domain_error(self, constant_pgm, capsysbinary):
@@ -189,6 +270,7 @@ class TestErrorPaths:
             ["curve", "x.pgm", "--q", "65537"],
             ["segment", "x.pgm", "--q", "1"],
             ["threshold", "x.pgm", "--max-thresholds", "0"],
+            ["axioms", "--seed", "-1"],
         ],
     )
     def test_range_errors_show_the_subcommand_usage(self, argv, capsysbinary):

@@ -14,8 +14,10 @@ from neutroseg import (
     ThresholdOutOfRange,
     UnsortedThresholds,
     render,
+    save_pgm,
     segment,
 )
+import neutroseg.cli as cli
 
 TOL = 1e-12
 
@@ -176,3 +178,19 @@ class TestRender:
         assert out.pixel_count == img.pixel_count
         # a per-pixel label array beside the repaint reads about 2x
         assert peak < 1.25 * img.levels.nbytes
+
+    def test_cli_segment_memory_is_one_raster(self, tmp_path, capsys):
+        src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        save_pgm(src, random_image(4, 2048, 2048))
+        tracemalloc.start()
+        try:
+            rc = cli.main(["segment", str(src), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert rc == 0
+        assert out.stat().st_size == src.stat().st_size
+        # the file's bytes, read whole, plus a fixed repaint buffer; a whole
+        # repaint beside them reads about 2.2x
+        assert peak < 1.6 * src.stat().st_size

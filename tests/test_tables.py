@@ -113,6 +113,8 @@ def check_lookup(img: GrayImage) -> None:
         assert got.tobytes() == table[img.levels].tobytes()
         entries = table.tolist()
         assert got.tolist() == [entries[v] for v in img.levels.tolist()]
+        streamed = b"".join(part.tobytes() for part in img._lookup_slices(table))
+        assert streamed == got.tobytes()
 
 
 def check_pipeline(img: GrayImage, levels: np.ndarray) -> None:
