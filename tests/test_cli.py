@@ -235,6 +235,16 @@ class TestErrorPaths:
         assert cli.main(["curve", str(bad)]) == 2
         capsysbinary.readouterr()
 
+    def test_short_raster_with_a_huge_header_is_one_line_error(
+        self, tmp_path, capsysbinary
+    ):
+        # levels for 10^10 pixels would need 9.3 GiB
+        short = tmp_path / "short.pgm"
+        short.write_bytes(b"P2 100000 100000 255 1 2 3")
+        assert cli.main(["curve", str(short)]) == 2
+        err = capsysbinary.readouterr().err
+        assert err == b"error: raster holds 3 samples, expected 10000000000\n"
+
     def test_out_of_memory_is_one_line_error(
         self, bimodal_pgm, monkeypatch, capsysbinary
     ):

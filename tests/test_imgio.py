@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from neutroseg import (
     write_curve,
     write_pgm,
 )
+from neutroseg import imgio
 from neutroseg.imgio import CURVE_HEADER
 from neutroseg.sweep import EntropyCurve
 
@@ -210,6 +212,60 @@ def decoded(data: bytes):
     return img.levels.tolist(), img.levels.dtype, img.depth
 
 
+@st.composite
+def p2_seam_case(draw):
+    """A P2 file and what reading it one token at a time gives.
+
+    Tokens of up to 30 digits, with leading zeros and values above maxval,
+    and in half of the files a non-decimal token, are separated by runs of
+    the six whitespace bytes; a comment may stand before any line ending,
+    up to three samples more than the header asks for may follow, and the
+    file may end in a digit.
+    """
+    width = draw(st.integers(0, 6))
+    height = draw(st.integers(0, 6))
+    maxval = draw(st.sampled_from([1, 100, 255]))
+    count = width * height
+    plain = [
+        st.integers(0, 300).map(b"%d".__mod__),
+        st.sampled_from([b"007", b"0000255", b"1234", b"9" * 30]),
+        st.text("0123456789", min_size=1, max_size=30).map(str.encode),
+    ]
+    odd = st.sampled_from([b"x", b"+5", b"1_0", b"12a"])
+    token = st.one_of(plain if draw(st.booleans()) else [*plain, odd])
+    space = st.text(_SPACE, min_size=1, max_size=8).map(str.encode)
+    tokens = [draw(token) for _ in range(max(count + draw(st.integers(-2, 3)), 0))]
+    end = st.text(_SPACE, max_size=8).map(str.encode)
+    raster = b"".join(draw(space) + t for t in tokens) + draw(end)
+    comment = st.binary(max_size=12).map(lambda b: b"#" + b.translate(None, b"\r\n"))
+    raster = re.sub(
+        rb"(?=[\r\n])", lambda m: draw(comment) if draw(st.booleans()) else b"", raster
+    )
+    return b"P2\n%d %d\n%d" % (width, height, maxval) + raster, p2_reference(
+        raster, count, maxval
+    )
+
+
+def p2_reference(raster: bytes, count: int, maxval: int):
+    """``decoded`` of a P2 raster, by ``int()`` of each token in turn."""
+    tokens = re.sub(rb"#[^\r\n]*", b" ", raster).split()
+    bad = next((t for t in tokens if not t.isdigit()), None)
+    if bad is not None:
+        tokens = tokens[: tokens.index(bad)]
+    if len(tokens) < count:
+        if bad is not None:
+            return PgmError, f"malformed sample field {bad!r}"
+        return TruncatedData, f"raster holds {len(tokens)} samples, expected {count}"
+    # the decoder reads a sample above int64 as int64's maximum
+    values = [min(int(t), np.iinfo(np.int64).max) for t in tokens[:count]]
+    if values and max(values) == np.iinfo(np.int64).max:
+        return SampleOutOfRange, f"a sample exceeds maxval {maxval}"
+    if values and max(values) > maxval:
+        span = f"[{min(values)}, {max(values)}], allowed [0, {maxval}]"
+        return SampleOutOfRange, "sample values span " + span
+    return values, np.dtype(np.uint8), maxval + 1
+
+
 class TestPlainP2Decode:
     @settings(deadline=None, max_examples=400)
     @given(p2_raster_pair())
@@ -264,21 +320,56 @@ class TestPlainP2Decode:
             read_pgm(data)
         assert str(info.value) == message
 
-    def test_decode_memory_is_bounded(self):
+    @staticmethod
+    def decode_peak(side: int, comment: str) -> float:
+        """Peak traced memory of decoding a side^2 P2 file, per file byte."""
         rng = np.random.default_rng(5)
-        rows = rng.integers(0, 256, size=(512 * 512 // 16, 16))
-        for comment in ["", " # a comment on every line"]:
-            lines = (" ".join(map(str, row)) + comment + "\n" for row in rows.tolist())
-            data = b"P2\n512 512\n255\n" + "".join(lines).encode()
-            tracemalloc.start()
-            try:
-                tracemalloc.reset_peak()
-                img = read_pgm(data)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert img.levels.tolist() == rows.reshape(-1).tolist()
-            assert peak < 8 * len(data), comment
+        rows = rng.integers(0, 256, size=(side * side // 16, 16))
+        lines = (" ".join(map(str, row)) + comment + "\n" for row in rows.tolist())
+        data = b"P2\n%d %d\n255\n" % (side, side) + "".join(lines).encode()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            img = read_pgm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert img.levels.tolist() == rows.reshape(-1).tolist()
+        return peak / len(data)
+
+    def test_decode_memory_is_bounded(self):
+        # the levels are a quarter of the file; reading the whole raster at
+        # once (4.24x) fails the first bound. Blanking comments copies the
+        # raster whole, which the second bound allows.
+        assert self.decode_peak(512, "") < 2
+        assert self.decode_peak(512, " # a comment on every line") < 8
+
+    def test_decode_memory_is_bounded_by_the_chunk(self):
+        # a raster of many chunks: the temporaries are a chunk's, so the
+        # peak falls below the file size (0.56x at 29 chunks)
+        assert self.decode_peak(1024, "") < 1
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P2 100000 100000 255 1 2 3", "expected 10000000000"),
+            (b"P2 4000000000 4000000000 255 1 2 3", "expected 16000000000000000000"),
+        ],
+    )
+    def test_short_raster_is_reported_before_any_allocation(self, data, message):
+        # levels for the header's count would need 9.3 GiB, or more than
+        # numpy can index
+        with pytest.raises(TruncatedData) as info:
+            read_pgm(data)
+        assert str(info.value) == "raster holds 3 samples, " + message
+
+    @settings(deadline=None, max_examples=300)
+    @given(p2_seam_case(), st.integers(1, 16))
+    def test_chunk_seams_change_nothing(self, case, chunk):
+        data, want = case
+        assert decoded(data) == want
+        with mock.patch.object(imgio, "_P2_CHUNK", chunk):
+            assert decoded(data) == want
 
 
 class TestWritePgm:
