@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import ContextManager, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import axioms as axioms_mod
 from . import imgio
 from .errors import NeutrosegError
-from .image import GrayImage
 from .segment import Segmentation, _level_paint, segment
 from .sweep import (
     MAX_Q,
@@ -110,13 +110,32 @@ def _emit(
             fh.writelines(parts)
 
 
-def _image_curve(args: argparse.Namespace) -> tuple[GrayImage, EntropyCurve]:
-    image = imgio.load_pgm(args.input)
-    return image, entropy_curve(build_histogram(image, q=args.q))
+def _same_file(path: Optional[str], other: str) -> bool:
+    try:
+        return path is not None and os.path.samefile(path, other)
+    except OSError:
+        return False
 
 
-def _pipeline(args: argparse.Namespace) -> tuple[GrayImage, EntropyCurve, ThresholdSet]:
-    image, curve = _image_curve(args)
+def _open_input(args: argparse.Namespace) -> ContextManager:
+    """The input image, a P5 file's raster left in the file (imgio._P5File).
+
+    ``segment`` reads such a raster again to repaint it, after writing
+    ``--curve-out`` and while writing ``--out``, so when either names the
+    input the raster is read whole first.
+    """
+    whole = args.command == "segment" and any(
+        _same_file(path, args.input) for path in (args.out, args.curve_out)
+    )
+    return imgio._open_pgm(args.input, whole)
+
+
+def _image_curve(args: argparse.Namespace, image) -> EntropyCurve:
+    return entropy_curve(build_histogram(image, q=args.q))
+
+
+def _pipeline(args: argparse.Namespace, image) -> tuple[EntropyCurve, ThresholdSet]:
+    curve = _image_curve(args, image)
     found = find_thresholds(curve, max_thresholds=args.max_thresholds)
     if found.fallback_used:
         print(
@@ -124,7 +143,7 @@ def _pipeline(args: argparse.Namespace) -> tuple[GrayImage, EntropyCurve, Thresh
             " lowest plateau",
             file=sys.stderr,
         )
-    return image, curve, found
+    return curve, found
 
 
 def _threshold_line(t: float, depth: int) -> str:
@@ -133,14 +152,16 @@ def _threshold_line(t: float, depth: int) -> str:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    _, curve = _image_curve(args)
+    with _open_input(args) as image:
+        curve = _image_curve(args, image)
     print(f"candidates: {len(curve)}", file=sys.stderr)
     _emit(args.out, [imgio.write_curve(curve)])
     return EXIT_OK
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    image, curve, found = _pipeline(args)
+    with _open_input(args) as image:
+        curve, found = _pipeline(args, image)
     if args.curve_out:
         imgio.save_curve(args.curve_out, curve)
     lines = [_threshold_line(t, image.depth) for t in found.thresholds]
@@ -156,16 +177,16 @@ def _report_segmentation(seg: Segmentation, depth: int) -> None:
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    image, curve, found = _pipeline(args)
-    if args.curve_out:
-        imgio.save_curve(args.curve_out, curve)
-    seg = segment(image, found.thresholds)
-    _report_segmentation(seg, image.depth)
-    # the repaint keeps the input's size and depth, so its header; the
-    # raster is streamed in slices, never held whole beside the input
-    header, _ = imgio.pgm_parts(image)
-    raster = image._lookup_slices(_level_paint(seg))
-    _emit(args.out, chain([header], raster))
+    with _open_input(args) as image:
+        curve, found = _pipeline(args, image)
+        if args.curve_out:
+            imgio.save_curve(args.curve_out, curve)
+        seg = segment(image, found.thresholds)
+        _report_segmentation(seg, image.depth)
+        # the repaint keeps the input's size and depth, so its header; the
+        # raster is streamed in slices, never held whole beside the input
+        raster = image._lookup_slices(_level_paint(seg))
+        _emit(args.out, chain([imgio._pgm_header(image)], raster))
     return EXIT_OK
 
 

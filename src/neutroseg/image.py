@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -17,13 +17,14 @@ import numpy as np
 # RSS from 61.7 to 63.3 MB.
 _CHUNK = 1 << 16
 
-# pixels per slice of a streamed repaint (GrayImage._lookup_slices), whose
-# one buffer is all the CLI writer holds beside the input. On a 4096^2 P5
-# (2-core x86 host), `segment --out` peaked at 47.2-47.4 MB RSS for 2^18 ..
-# 2^20 (61.7-61.8 MB writing a whole repaint), 47.8-47.9 MB for 2^21 and
-# 49.7-49.8 MB for 2^22, 3 fresh processes each; writing the repaint took
-# the same 17-18 ms to /dev/null at every size from 2^17 to 2^22. The
-# largest size on the flat part makes the fewest write calls.
+# pixels per slice of a streamed repaint (GrayImage._lookup_slices), and
+# bytes per chunk of a P5 file the CLI reads in two passes; the CLI holds a
+# buffer of each. On a 4096^2 P5 (2-core x86 host), `segment --out` to
+# /dev/null peaked at 31.4-31.5 MB RSS for 2^16, 31.6 for 2^18, 31.9 for
+# 2^19, 32.5 for 2^20, 33.9 for 2^21 and 37.9 for 2^22, and took 0.36 s at
+# 2^20 against 0.38-0.40 s at every other size (medians of 7 interleaved
+# fresh processes, 5 for 2^21 and 2^22). Reading the file whole, it had
+# peaked at 47.2-47.4 MB from 2^18 to 2^20.
 _SLICE = 1 << 20
 
 
@@ -78,10 +79,7 @@ class GrayImage:
     @cached_property
     def level_counts(self) -> np.ndarray:
         """Pixel count of every level 0 .. depth-1 (int64, read-only)."""
-        counts = np.zeros(self.depth, dtype=np.int64)
-        for start in range(0, self.levels.size, _CHUNK):
-            chunk = self.levels[start : start + _CHUNK]
-            counts += np.bincount(chunk, minlength=self.depth)
+        counts = _count_levels([self.levels])[: self.depth]
         counts.flags.writeable = False
         return counts
 
@@ -94,7 +92,7 @@ class GrayImage:
         two pixels. An object table cannot be viewed as level pairs and
         raises ``TypeError``.
         """
-        table = self._check_table(table)
+        table = _check_table(table, self.depth)
         out = np.empty(self.levels.size, dtype=table.dtype)
         _gather(self.levels, table, _pair_table(table), out)
         return out
@@ -102,30 +100,49 @@ class GrayImage:
     def _lookup_slices(self, table: np.ndarray) -> Iterator[np.ndarray]:
         """:meth:`lookup` in consecutive slices of ``_SLICE`` pixels.
 
-        The table is checked and its pair table built on the call, before
-        the first slice is asked for. Every slice is gathered into one
-        buffer, so a slice must be consumed before the next is requested.
+        See :func:`_lookup_chunks`.
         """
-        table = self._check_table(table)
-        pairs = _pair_table(table)
-        size = self.levels.size
-        buf = np.empty(min(_SLICE, size), dtype=table.dtype)
+        levels = self.levels
+        chunks = (levels[i : i + _SLICE] for i in range(0, levels.size, _SLICE))
+        return _lookup_chunks(chunks, table, self.depth, min(_SLICE, levels.size))
 
-        def slices() -> Iterator[np.ndarray]:
-            for start in range(0, size, _SLICE):
-                part = self.levels[start : start + _SLICE]
-                _gather(part, table, pairs, buf[: part.size])
-                yield buf[: part.size]
 
-        return slices()
+def _check_table(table: np.ndarray, depth: int) -> np.ndarray:
+    table = np.asarray(table)
+    if table.shape != (depth,):
+        raise ValueError(f"table has shape {table.shape}, expected ({depth},)")
+    return table
 
-    def _check_table(self, table: np.ndarray) -> np.ndarray:
-        table = np.asarray(table)
-        if table.shape != (self.depth,):
-            raise ValueError(
-                f"table has shape {table.shape}, expected ({self.depth},)"
-            )
-        return table
+
+def _count_levels(chunks: Iterable[np.ndarray]) -> np.ndarray:
+    """Pixel count of every value 0 .. 255 over chunks of ``uint8`` levels."""
+    counts = np.zeros(256, dtype=np.int64)
+    for chunk in chunks:
+        for start in range(0, chunk.size, _CHUNK):
+            counts += np.bincount(chunk[start : start + _CHUNK], minlength=256)
+    return counts
+
+
+def _lookup_chunks(
+    chunks: Iterable[np.ndarray], table: np.ndarray, depth: int, size: int
+) -> Iterator[np.ndarray]:
+    """``table[chunk]`` for each chunk of ``uint8`` levels below ``depth``.
+
+    The table is checked, its pair table built and a buffer of ``size``
+    entries, the largest chunk, allocated on the call, before the first
+    chunk is asked for. Every chunk is gathered into that one buffer, so a
+    result must be consumed before the next is requested.
+    """
+    table = _check_table(table, depth)
+    pairs = _pair_table(table)
+    buf = np.empty(size, dtype=table.dtype)
+
+    def gathered() -> Iterator[np.ndarray]:
+        for chunk in chunks:
+            _gather(chunk, table, pairs, buf[: chunk.size])
+            yield buf[: chunk.size]
+
+    return gathered()
 
 
 def _gather(

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import os
 import re
-from typing import NamedTuple, Union
+import stat
+from contextlib import contextmanager
+from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -21,7 +23,8 @@ from .errors import (
     SampleOutOfRange,
     TruncatedData,
 )
-from .image import GrayImage
+from . import image as image_mod
+from .image import GrayImage, _count_levels, _lookup_chunks
 from .sweep import EntropyCurve
 
 PathLike = Union[str, os.PathLike]
@@ -46,6 +49,9 @@ _BAD_SAMPLE = re.compile(rb"(?<!\S)\S*?[^\d\s]\S*")
 # a whitespace byte, where a chunk of a P2 raster may end
 _SPACE = re.compile(rb"\s")
 
+# a line ending, where a comment ends
+_EOL = re.compile(rb"[\r\n]")
+
 # bytes per chunk of a P2 raster: the decoder's temporaries (a few bytes
 # per raster byte) scale with it, not with the image. On a 2048^2 P2 file
 # of 14.3 MiB (2-core x86 host), read_pgm took 97 ms at 2^15, 78 ms at 2^16
@@ -66,20 +72,60 @@ class CurveColumns(NamedTuple):
     total: np.ndarray
 
 
-def _tokens(data: bytes) -> tuple[list[bytes], int]:
-    """The four header fields (magic, width, height, maxval).
+def _fields(data: bytes) -> tuple[list[bytes], int]:
+    """The four header fields (magic, width, height, maxval), as read so far.
 
-    Returns the fields and the offset just past the last one.
+    Returns the fields and the offset just past the last one. A field is
+    empty only at the end of ``data``, and every field after it is too.
     """
     fields: list[bytes] = []
     pos = 0
     for _ in range(4):
         field = _FIELD.match(data, pos)
-        if not field[1]:
-            raise TruncatedData("header ended before all fields were read")
         fields.append(field[1])
         pos = field.end()
     return fields, pos
+
+
+def _header(data: bytes) -> tuple[bytes, int, int, int, int]:
+    """Magic, width, height and maxval of the PGM file ``data`` starts.
+
+    Returns them, checked, and the offset just past maxval.
+    """
+    if data[:2] not in (b"P2", b"P5"):
+        raise BadMagic(f"not a PGM file (magic {data[:2]!r})")
+    fields, pos = _fields(data)
+    if not all(fields):
+        raise TruncatedData("header ended before all fields were read")
+    magic = fields[0]
+    if magic not in (b"P2", b"P5"):
+        raise BadMagic(f"not a PGM file (magic {magic!r})")
+    width = _header_int(fields[1], "width")
+    height = _header_int(fields[2], "height")
+    maxval = _header_int(fields[3], "maxval")
+    if not 1 <= maxval <= _MAX_MAXVAL:
+        raise MaxvalOutOfRange(f"maxval {maxval} outside [1, {_MAX_MAXVAL}]")
+    return magic, width, height, maxval, pos
+
+
+def _p5_start(data: bytes, pos: int, size: int, count: int) -> int:
+    """Offset of the ``count``-byte raster of a P5 file of ``size`` bytes.
+
+    ``data`` is the file's start, which holds maxval ending at ``pos`` and
+    the byte after it, if the file has one.
+    """
+    if pos < size and not data[pos : pos + 1].isspace():
+        raise PgmError("raster must be introduced by a whitespace byte")
+    start = min(pos + 1, size)
+    if size - start < count:
+        raise TruncatedData(f"raster holds {size - start} bytes, expected {count}")
+    return start
+
+
+def _out_of_range(lo: int, hi: int, maxval: int) -> SampleOutOfRange:
+    return SampleOutOfRange(
+        f"sample values span [{lo}, {hi}], allowed [0, {maxval}]"
+    )
 
 
 def _header_int(token: bytes, what: str) -> int:
@@ -96,21 +142,23 @@ def _p2_levels(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
 
     Returns them as ``uint8`` levels, each checked against ``maxval``.
     """
-    if data.find(b"#", pos) >= 0:
-        data, pos = _COMMENT.sub(b" ", data[pos:]), 0
     # a raster of n bytes holds at most (n + 1) // 2 samples, so a short
     # one is read into no more than that before it is reported
     out = np.empty(min(count, (len(data) - pos + 1) // 2), dtype=np.uint8)
     filled, lo, hi = 0, np.iinfo(np.int64).max, 0
     bad = None
-    # every chunk starts at a whitespace byte and, but for the last one,
-    # ends with the whitespace byte the next chunk starts at
+    # every chunk starts at a whitespace byte or a comment and, but for the
+    # last one, ends with the whitespace byte outside any comment that the
+    # next chunk starts at
     while filled < out.size and pos < len(data) and not bad:
-        space = _SPACE.search(data, pos + _P2_CHUNK)
-        end = space.start() if space else len(data)
+        end = _chunk_end(data, pos)
         chunk, pos = data[pos : end + 1], end
-        # the translate check is cheap; the regex runs only when it fires
-        bad = chunk.translate(None, _PLAIN_RASTER) and _BAD_SAMPLE.search(chunk)
+        # the translate check is cheap; the regexes run only when it fires
+        odd = chunk.translate(None, _PLAIN_RASTER)
+        if b"#" in odd:
+            chunk = _COMMENT.sub(b" ", chunk)
+            odd = chunk.translate(None, _PLAIN_RASTER)
+        bad = odd and _BAD_SAMPLE.search(chunk)
         if bad:
             chunk = chunk[: bad.start()]
         samples = _chunk_samples(chunk, out.size - filled)
@@ -128,10 +176,27 @@ def _p2_levels(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
         # file does not hold
         if hi == np.iinfo(np.int64).max:
             raise SampleOutOfRange(f"a sample exceeds maxval {maxval}")
-        raise SampleOutOfRange(
-            f"sample values span [{lo}, {hi}], allowed [0, {maxval}]"
-        )
+        raise _out_of_range(lo, hi, maxval)
     return out
+
+
+def _chunk_end(data: bytes, pos: int) -> int:
+    """Where the P2 raster chunk that starts at ``pos`` ends.
+
+    That is the first whitespace byte ``_P2_CHUNK`` bytes on, or the line
+    ending of the comment that byte lies in, or the end of ``data``.
+    """
+    space = _SPACE.search(data, pos + _P2_CHUNK)
+    if not space:
+        return len(data)
+    end = space.start()
+    # a chunk never starts inside a comment, so a # in it with no line
+    # ending after it starts the comment that holds end
+    hash_ = data.rfind(b"#", pos, end)
+    if hash_ >= 0 and not _EOL.search(data, hash_, end):
+        eol = _EOL.search(data, end)
+        return eol.start() if eol else len(data)
+    return end
 
 
 def _chunk_samples(chunk: bytes, limit: int) -> np.ndarray:
@@ -176,28 +241,12 @@ def _chunk_samples(chunk: bytes, limit: int) -> np.ndarray:
 
 def read_pgm(data: bytes) -> GrayImage:
     """Decode PGM bytes (P2 or P5) into a gray image of depth maxval + 1."""
-    if data[:2] not in (b"P2", b"P5"):
-        raise BadMagic(f"not a PGM file (magic {data[:2]!r})")
-    head, pos = _tokens(data)
-    magic = head[0]
-    if magic not in (b"P2", b"P5"):
-        raise BadMagic(f"not a PGM file (magic {magic!r})")
-    width = _header_int(head[1], "width")
-    height = _header_int(head[2], "height")
-    maxval = _header_int(head[3], "maxval")
-    if not 1 <= maxval <= _MAX_MAXVAL:
-        raise MaxvalOutOfRange(f"maxval {maxval} outside [1, {_MAX_MAXVAL}]")
+    magic, width, height, maxval, pos = _header(data)
     count = width * height
     if magic == b"P2":
         levels = _p2_levels(data, pos, count, maxval)
     else:
-        if pos < len(data) and not data[pos : pos + 1].isspace():
-            raise PgmError("raster must be introduced by a whitespace byte")
-        start = min(pos + 1, len(data))
-        if len(data) - start < count:
-            raise TruncatedData(
-                f"raster holds {len(data) - start} bytes, expected {count}"
-            )
+        start = _p5_start(data, pos, len(data), count)
         levels = np.frombuffer(data, dtype=np.uint8, count=count, offset=start)
     try:
         return GrayImage(width=width, height=height, levels=levels, depth=maxval + 1)
@@ -207,6 +256,82 @@ def read_pgm(data: bytes) -> GrayImage:
         raise SampleOutOfRange(f"sample {exc}") from None
 
 
+class _P5File:
+    """A P5 file's size, depth and level counts, its raster left in the file.
+
+    The header is parsed and checked as :func:`read_pgm` does. Each pass
+    over the raster reads it from the open file ``fh`` in chunks of
+    ``_SLICE`` bytes, into one buffer allocated here: the constructor makes
+    the first pass, which counts the levels, and :meth:`_lookup_slices` the
+    second, which repaints them. So memory does not grow with the image.
+    """
+
+    def __init__(self, fh):
+        self.width, self.height, maxval, self._start = _p5_header(fh)
+        self.depth = maxval + 1
+        self.pixel_count = self.width * self.height
+        self._fh = fh
+        self._buf = np.empty(min(image_mod._SLICE, self.pixel_count), np.uint8)
+        counts = _count_levels(self._chunks())
+        occupied = np.flatnonzero(counts)
+        if occupied.size and occupied[-1] > maxval:
+            raise _out_of_range(int(occupied[0]), int(occupied[-1]), maxval)
+        self.level_counts = counts[: self.depth]
+
+    def _chunks(self) -> Iterator[np.ndarray]:
+        """The raster, a chunk at a time, each valid until the next is read."""
+        self._fh.seek(self._start)
+        count, done = self.pixel_count, 0
+        while done < count:
+            n = self._fh.readinto(self._buf[: count - done])
+            if not n:
+                raise TruncatedData(f"raster holds {done} bytes, expected {count}")
+            done += n
+            yield self._buf[:n]
+
+    def _lookup_slices(self, table: np.ndarray) -> Iterator[np.ndarray]:
+        """``table[levels]`` read again from the file, as by GrayImage's."""
+
+        def checked() -> Iterator[np.ndarray]:
+            for chunk in self._chunks():
+                # the raster may have changed since the first pass
+                if self.depth < 256 and chunk.max() >= self.depth:
+                    raise PgmError("raster changed while it was read")
+                yield chunk
+
+        return _lookup_chunks(checked(), table, self.depth, self._buf.size)
+
+
+def _p5_header(fh) -> tuple[int, int, int, int]:
+    """Width, height, maxval and raster offset of the P5 file ``fh``, checked."""
+    fh.seek(0)
+    head = fh.read(image_mod._SLICE)
+    # maxval ends before the end of what was read, or at the file's end
+    while _fields(head)[1] == len(head) and (more := fh.read(len(head))):
+        head += more
+    _, width, height, maxval, pos = _header(head)
+    size = os.fstat(fh.fileno()).st_size
+    return width, height, maxval, _p5_start(head, pos, size, width * height)
+
+
+@contextmanager
+def _open_pgm(path: PathLike, whole: bool = False) -> Iterator:
+    """The PGM file at ``path``, as the CLI reads it.
+
+    A P5 regular file is a :class:`_P5File` over the open file, unless
+    ``whole`` is set; any other input is decoded whole by :func:`read_pgm`.
+    """
+    # unbuffered: a buffer filled by the magic read would be copied again
+    # when a whole file is read after it
+    with open(path, "rb", buffering=0) as fh:
+        if not whole and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            if fh.read(2) == b"P5":
+                yield _P5File(fh)
+                return
+            fh.seek(0)
+        yield read_pgm(fh.read())
+
+
 def pgm_parts(image: GrayImage) -> tuple[bytes, memoryview]:
     """Header and raster of ``image`` as binary PGM.
 
@@ -214,9 +339,13 @@ def pgm_parts(image: GrayImage) -> tuple[bytes, memoryview]:
     ``uint8``), not a copy; written one after the other, the two parts are
     the file.
     """
+    return _pgm_header(image), memoryview(image.levels)
+
+
+def _pgm_header(image) -> bytes:
+    """The binary PGM header of an image of ``image``'s size and depth."""
     maxval = image.depth - 1
-    header = f"P5\n{image.width} {image.height}\n{maxval}\n".encode("ascii")
-    return header, memoryview(image.levels)
+    return f"P5\n{image.width} {image.height}\n{maxval}\n".encode("ascii")
 
 
 def write_pgm(image: GrayImage) -> bytes:

@@ -57,7 +57,9 @@ def segment(image: GrayImage, thresholds: np.ndarray) -> Segmentation:
     """Partition ``image`` by ``thresholds`` (strictly increasing, in (0, 1)).
 
     An empty threshold list is allowed and yields a single region covering
-    the whole gray range.
+    the whole gray range. Only the image's ``depth``, ``pixel_count`` and
+    ``level_counts`` are read, so the CLI passes a P5 file it has counted
+    but not held.
     """
     ts = _check_thresholds(thresholds)
     if image.pixel_count == 0:
@@ -84,7 +86,7 @@ def segment(image: GrayImage, thresholds: np.ndarray) -> Segmentation:
         level_labels=level_labels,
         region_values=values,
         region_counts=counts,
-        region_levels=paint.astype(image.levels.dtype),
+        region_levels=paint.astype(np.uint8),
         image=image,
     )
 

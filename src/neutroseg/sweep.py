@@ -106,7 +106,8 @@ def build_histogram(image: GrayImage, q: int = 255) -> Histogram:
     """Histogram of ``image`` quantized to the grid {0, 1/q, ..., 1}.
 
     A pixel with integer level L lands in bin round(L * q / (depth - 1)),
-    rounding halves away from zero. ``q`` runs from 2 to ``MAX_Q``.
+    rounding halves away from zero. ``q`` runs from 2 to ``MAX_Q``. Only the
+    image's ``depth``, ``pixel_count`` and ``level_counts`` are read.
     """
     if q < 2:
         raise ValueError("q must be at least 2")

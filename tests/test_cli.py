@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +15,17 @@ import neutroseg
 from neutroseg import (
     AxiomCheck,
     GrayImage,
+    PgmError,
     build_histogram,
     entropy_curve,
     find_thresholds,
     load_pgm,
     parse_curve,
     render,
+    read_pgm,
     save_pgm,
     segment,
+    write_curve,
     write_pgm,
 )
 import neutroseg.cli as cli
@@ -157,6 +161,22 @@ class TestSegmentCommand:
         assert cli.main(["segment", bimodal_pgm, "--out", bimodal_pgm]) == 0
         assert Path(bimodal_pgm).read_bytes() == other.read_bytes()
 
+    @pytest.mark.parametrize("link", [os.symlink, os.link])
+    def test_output_may_name_the_input_by_a_link(self, link, bimodal_pgm, tmp_path):
+        want = _expected_segment_output(load_pgm(bimodal_pgm))
+        other = tmp_path / "other.pgm"
+        link(bimodal_pgm, other)
+        assert cli.main(["segment", bimodal_pgm, "--out", str(other)]) == 0
+        assert Path(bimodal_pgm).read_bytes() == want
+
+    def test_curve_output_may_overwrite_the_input(self, bimodal_pgm, capsysbinary):
+        img = load_pgm(bimodal_pgm)
+        rc = cli.main(["segment", bimodal_pgm, "--curve-out", bimodal_pgm])
+        assert rc == 0
+        assert capsysbinary.readouterr().out == _expected_segment_output(img)
+        want = write_curve(entropy_curve(build_histogram(img, q=255)))
+        assert Path(bimodal_pgm).read_bytes() == want
+
     @pytest.mark.parametrize(
         "module, name", [(cli, "segment"), (image_mod, "_pair_table")]
     )
@@ -181,6 +201,14 @@ def _expected_segment_output(img: GrayImage) -> bytes:
     return write_pgm(render(segment(img, ts), img))
 
 
+def _expected_threshold_output(img: GrayImage) -> bytes:
+    """The threshold lines for ``img`` at the CLI's default --q and cap."""
+    curve = entropy_curve(build_histogram(img, q=255))
+    ts = find_thresholds(curve, max_thresholds=8).thresholds
+    top = img.depth - 1
+    return "".join(f"{t:.6f} {math.floor(t * top + 0.5)}\n" for t in ts).encode()
+
+
 def _varied_image(n: int, depth: int) -> GrayImage:
     """``n`` random levels, the first and last the ends of the range."""
     levels = np.random.default_rng([n, depth]).integers(0, depth, n)
@@ -188,28 +216,47 @@ def _varied_image(n: int, depth: int) -> GrayImage:
     return GrayImage(width=n, height=1, levels=levels, depth=depth)
 
 
+def _p2_bytes(img: GrayImage) -> bytes:
+    head = b"P2 %d %d %d\n" % (img.width, img.height, img.depth - 1)
+    return head + " ".join(map(str, img.levels.tolist())).encode()
+
+
 class TestStreamedRepaint:
-    """segment writes the repaint slice by slice, through one reused buffer."""
+    """A P5 input is read in chunks, twice for segment, and repainted in slices.
+
+    Each pass reads the raster through one reused buffer of ``_SLICE``
+    bytes, and the repaint is written slice by slice through another.
+    """
 
     def check(self, img, tmp_path, capsysbinary):
-        path = tmp_path / "in.pgm"
+        path, p2, out = (tmp_path / name for name in ("in.pgm", "in2.pgm", "out"))
         save_pgm(path, img)
+        p2.write_bytes(_p2_bytes(img))
         want = _expected_segment_output(img)
-        out = tmp_path / "out.pgm"
         assert cli.main(["segment", str(path), "--out", str(out)]) == 0
         assert out.read_bytes() == want
         capsysbinary.readouterr()
-        assert cli.main(["segment", str(path)]) == 0
-        assert capsysbinary.readouterr().out == want
+        expected = {
+            "segment": want,
+            "threshold": _expected_threshold_output(img),
+            "curve": write_curve(entropy_curve(build_histogram(img, q=255))),
+        }
+        for command, stdout in expected.items():
+            assert cli.main([command, str(path)]) == 0
+            streamed = capsysbinary.readouterr()
+            assert streamed.out == stdout
+            # a P2 input is decoded whole; its stderr must match too
+            assert cli.main([command, str(p2)]) == 0
+            assert capsysbinary.readouterr() == streamed
 
     @pytest.mark.parametrize("depth", [2, 17, 101, 256])
-    @pytest.mark.parametrize("n", [2, 7, 8, 9, 19])
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 16, 19])
     def test_matches_the_whole_repaint_across_slice_edges(
         self, n, depth, tmp_path, monkeypatch, capsysbinary
     ):
-        # slices of 8 pixels: n is 2, slice - 1, slice, slice + 1 and
-        # 2 * slice + 3 (a single pixel is a constant image, which the CLI
-        # rejects before writing)
+        # slices of 8 pixels: n is 2, slice - 1, slice, slice + 1, 2 * slice
+        # and 2 * slice + 3 (a single pixel is a constant image, which the
+        # CLI rejects before writing); every header is longer than a slice
         monkeypatch.setattr(image_mod, "_SLICE", 8)
         self.check(_varied_image(n, depth), tmp_path, capsysbinary)
 
@@ -218,6 +265,111 @@ class TestStreamedRepaint:
     ):
         n = 2 * image_mod._SLICE + 3
         self.check(_varied_image(n, 256), tmp_path, capsysbinary)
+
+    def test_a_pipe_is_read_whole(self, tmp_path, capsysbinary):
+        # a pipe has no size to check the raster against and cannot be
+        # read twice
+        img = _varied_image(19, 256)
+        fifo = tmp_path / "in.pgm"
+        os.mkfifo(fifo)
+        writer = threading.Thread(
+            target=fifo.write_bytes, args=(write_pgm(img),), daemon=True
+        )
+        writer.start()
+        try:
+            assert cli.main(["segment", str(fifo)]) == 0
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert capsysbinary.readouterr().out == _expected_segment_output(img)
+
+
+def _p5_error(data: bytes) -> bytes:
+    """The CLI's stderr for a file ``read_pgm`` rejects."""
+    with pytest.raises(PgmError) as info:
+        read_pgm(data)
+    return f"error: {info.value}\n".encode()
+
+
+class TestMalformedP5:
+    """The streamed reader fails as read_pgm does on the same bytes."""
+
+    @pytest.mark.parametrize("command", ["curve", "threshold", "segment"])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(b"P5x 2 1 255\n\x00\x01", id="bad-magic"),
+            pytest.param(b"P5 2 1 #c\n", id="header-ends-early"),
+            pytest.param(
+                b"P5 # comment\n#\n2 1 255\n\x00", id="long-header-short-raster"
+            ),
+            # the first read of 8 bytes ends inside the maxval 2555
+            pytest.param(b"P5 2 1 2555\n\x00\x01", id="maxval-cut-by-the-first-read"),
+            pytest.param(b"P5 2 1 255#c\n\x01\x02", id="no-whitespace-before-raster"),
+            pytest.param(b"P5 2 2 255\n\x00\x01\x02", id="raster-one-byte-short"),
+            pytest.param(
+                b"P5 19 1 100\n" + bytes(range(18)) + b"\xc8",
+                id="sample-above-maxval-in-the-last-chunk",
+            ),
+            pytest.param(b"P5 1_0 1 255\n" + bytes(10), id="malformed-width"),
+        ],
+    )
+    def test_same_error_as_read_pgm(
+        self, data, command, tmp_path, monkeypatch, capsysbinary
+    ):
+        monkeypatch.setattr(image_mod, "_SLICE", 8)
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        assert cli.main([command, str(path)]) == 2
+        assert capsysbinary.readouterr().err == _p5_error(data)
+
+    def test_header_longer_than_the_first_read(
+        self, tmp_path, monkeypatch, capsysbinary
+    ):
+        monkeypatch.setattr(image_mod, "_SLICE", 8)
+        img = _varied_image(19, 256)
+        path = tmp_path / "in.pgm"
+        head = b"P5 # a comment longer than a chunk\n19 1\n255\n"
+        path.write_bytes(head + img.levels.tobytes())
+        assert cli.main(["segment", str(path)]) == 0
+        assert capsysbinary.readouterr().out == _expected_segment_output(img)
+
+    @pytest.fixture
+    def between_passes(self, monkeypatch):
+        """Run ``change(path)`` on the input between segment's two passes."""
+
+        def install(path: Path, change) -> None:
+            def changed_then_segmented(image, thresholds):
+                change(path)
+                return segment(image, thresholds)
+
+            monkeypatch.setattr(cli, "segment", changed_then_segmented)
+
+        return install
+
+    def test_file_shrinking_between_passes_is_truncated_data(
+        self, tmp_path, monkeypatch, capsysbinary, between_passes
+    ):
+        monkeypatch.setattr(image_mod, "_SLICE", 8)
+        path = tmp_path / "in.pgm"
+        data = write_pgm(_varied_image(19, 256))
+        path.write_bytes(data)
+        between_passes(path, lambda p: p.write_bytes(data[:-9]))
+        assert cli.main(["segment", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsysbinary.readouterr().err
+        # after the thresholds and regions the first pass found
+        assert err.endswith(b"\nerror: raster holds 10 bytes, expected 19\n")
+
+    def test_raster_changing_between_passes_is_an_error(
+        self, tmp_path, capsysbinary, between_passes
+    ):
+        path = tmp_path / "in.pgm"
+        data = write_pgm(_varied_image(19, 17))
+        path.write_bytes(data)
+        between_passes(path, lambda p: p.write_bytes(data[:-1] + b"\xff"))
+        assert cli.main(["segment", str(path)]) == 2
+        err = capsysbinary.readouterr().err
+        assert err.endswith(b"\nerror: raster changed while it was read\n")
 
 
 class TestErrorPaths:
