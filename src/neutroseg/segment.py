@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,12 +21,13 @@ class Segmentation:
 
     Region 0 is [0, t1]; region j is (t_j, t_{j+1}]; the last region is
     (t_k, 1]. ``level_labels`` holds the region of each level 0 .. depth-1
-    of ``image``, the image segmented. A region's value is the mean unit
-    gray of its pixels, or the midpoint of its interval when it holds no
-    pixels. ``region_levels`` is that value as an integer level of the
-    image's depth: ``(2*S + C) // (2*C)`` for a region of ``C`` pixels whose
-    levels sum to ``S`` (the exact mean, halves rounded up), the midpoint
-    rounded half away from zero for an empty region.
+    of the image segmented, so ``image.lookup(level_labels)`` is the region
+    of each of its pixels. A region's value is the mean unit gray of its
+    pixels, or the midpoint of its interval when it holds no pixels.
+    ``region_levels`` is that value as an integer level of the image's
+    depth: ``(2*S + C) // (2*C)`` for a region of ``C`` pixels whose levels
+    sum to ``S`` (the exact mean, halves rounded up), the midpoint rounded
+    half away from zero for an empty region.
     """
 
     thresholds: np.ndarray
@@ -35,12 +35,6 @@ class Segmentation:
     region_values: np.ndarray
     region_counts: np.ndarray
     region_levels: np.ndarray
-    image: GrayImage = field(repr=False)
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """Region of every pixel of ``image``, computed on first access."""
-        return self.image.lookup(self.level_labels)
 
 
 def _check_thresholds(thresholds: np.ndarray) -> np.ndarray:
@@ -66,9 +60,7 @@ def segment(image: GrayImage, thresholds: np.ndarray) -> Segmentation:
         raise EmptyImage("cannot segment an image with no pixels")
     top = image.depth - 1
     level = np.arange(image.depth, dtype=np.int64)
-    level_labels = np.searchsorted(ts, level / top, side="left").astype(
-        np.min_scalar_type(ts.size)
-    )
+    level_labels = np.searchsorted(ts, level / top, side="left")
     regions = ts.size + 1
     counts = np.zeros(regions, dtype=np.int64)
     sums = np.zeros(regions, dtype=np.int64)
@@ -87,7 +79,6 @@ def segment(image: GrayImage, thresholds: np.ndarray) -> Segmentation:
         region_values=values,
         region_counts=counts,
         region_levels=paint.astype(np.uint8),
-        image=image,
     )
 
 
@@ -97,18 +88,18 @@ def _level_paint(seg: Segmentation) -> np.ndarray:
 
 
 def render(seg: Segmentation, image: GrayImage) -> GrayImage:
-    """Replace every pixel with its region's level (``region_levels``).
+    """Replace every pixel of ``image`` with its region's level.
 
-    The pixels are those of ``seg.image``; ``image`` must have its pixel
-    count and depth and gives the output's width and height.
+    ``image`` must have the pixel count and depth of the image ``seg`` was
+    made from; the regions are those of its own gray levels.
     """
-    if seg.image.pixel_count != image.pixel_count:
+    if seg.region_counts.sum() != image.pixel_count:
         raise DimensionMismatch("segmentation does not match the image size")
     if seg.level_labels.size != image.depth:
         raise DimensionMismatch("segmentation does not match the image depth")
     return GrayImage(
         width=image.width,
         height=image.height,
-        levels=seg.image.lookup(_level_paint(seg)),
+        levels=image.lookup(_level_paint(seg)),
         depth=image.depth,
     )

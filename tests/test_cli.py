@@ -110,14 +110,6 @@ class TestThresholdCommand:
 
 
 class TestSegmentCommand:
-    def test_builds_no_per_pixel_labels(self, bimodal_pgm, monkeypatch, capsysbinary):
-        def built(seg):
-            raise AssertionError("per-pixel labels were built")
-
-        monkeypatch.setattr(neutroseg.Segmentation, "labels", property(built))
-        assert cli.main(["segment", bimodal_pgm]) == 0
-        assert capsysbinary.readouterr().out.startswith(b"P5\n100 100\n255\n")
-
     def test_writes_segmented_image(self, bimodal_pgm, tmp_path, capsysbinary):
         out = tmp_path / "seg.pgm"
         rc = cli.main(

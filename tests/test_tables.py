@@ -1,5 +1,8 @@
 """Per-level tables against the per-pixel formulas they replace."""
 
+from dataclasses import fields
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -53,12 +56,29 @@ def test_tables_match_per_pixel_formulas(depth, q):
     ts = grid_thresholds(np.random.default_rng(q), q)
     seg = segment(img, ts)
     labels = np.searchsorted(ts, unit_levels(img), side="left")
-    assert np.array_equal(seg.labels, labels)
+    assert np.array_equal(img.lookup(seg.level_labels), labels)
     assert np.array_equal(seg.region_counts, np.bincount(labels, minlength=ts.size + 1))
 
     # every nonempty region repaints to its exact mean level, halves up
     out = render(seg, img)
     assert np.array_equal(out.levels, region_means(img.levels, labels))
+
+
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_segment_and_histogram_read_only_the_level_counts(depth):
+    # the CLI hands both a P5 file it has counted but not held
+    img = random_image(depth + 3, 31, 17, depth=depth)
+    counted = SimpleNamespace(
+        depth=img.depth, pixel_count=img.pixel_count, level_counts=img.level_counts
+    )
+    for want, got in (
+        (build_histogram(img, q=255), build_histogram(counted, q=255)),
+        (segment(img, [0.3, 0.7]), segment(counted, [0.3, 0.7])),
+    ):
+        for f in fields(want):
+            a, b = getattr(want, f.name), getattr(got, f.name)
+            assert np.asarray(a).dtype == np.asarray(b).dtype
+            assert np.array_equal(a, b)
 
 
 def test_level_counts_across_a_partial_chunk():
@@ -123,8 +143,7 @@ def check_pipeline(img: GrayImage, levels: np.ndarray) -> None:
     ts = np.array([0.3, 0.7])
     seg = segment(img, ts)
     labels = np.searchsorted(ts, levels / (img.depth - 1), side="left")
-    assert seg.labels.dtype == np.uint8
-    assert np.array_equal(seg.labels, labels)
+    assert np.array_equal(img.lookup(seg.level_labels), labels)
     out = render(seg, img)
     assert out.levels.dtype == img.levels.dtype
     assert np.array_equal(out.levels, region_means(levels, labels))
