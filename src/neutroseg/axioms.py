@@ -1,13 +1,16 @@
 """Sampled verification of the properties the entropy construction promises.
 
-Each check draws a seeded sample set, evaluates one property of the ``core``
-formulas on the whole set at once and reports the worst deviation seen. The
-suite backs the ``axioms`` CLI subcommand and the acceptance tests.
+Each check draws its seeded samples in blocks of at most ``_BLOCK``, evaluates
+one property of the ``core`` formulas on each block and keeps the worst
+deviation seen, so memory stays bounded whatever the sample count. The blocks
+come in order from the one generator the suite is given. The suite backs the
+``axioms`` CLI subcommand and the acceptance tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -15,6 +18,9 @@ from .core import bifuzzy, escort, neutro_components, neutro_entropy
 
 DEFAULT_SAMPLES = 10_000
 DEFAULT_TOLERANCE = 1e-12
+
+# Samples per block: the suite's memory is a few arrays of this length.
+_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -30,15 +36,27 @@ class AxiomCheck:
 
 
 def _check(
-    name: str, description: str, deviations: np.ndarray, tol: float
+    name: str,
+    description: str,
+    samples: int,
+    tol: float,
+    deviations: Callable[[int], np.ndarray],
 ) -> AxiomCheck:
-    """Check whose worst deviation is the largest of ``deviations``."""
-    worst = float(np.max(deviations))
+    """Check whose worst deviation is the largest over ``samples`` draws.
+
+    ``deviations(n)`` draws ``n`` samples and returns their deviations; it is
+    called on consecutive blocks of at most ``_BLOCK``. The running worst
+    starts at ``-inf``, since a deviation may be negative, and ``np.maximum``
+    carries a NaN through so that it fails the check.
+    """
+    worst = -np.inf
+    for start in range(0, samples, _BLOCK):
+        worst = np.maximum(worst, np.max(deviations(min(_BLOCK, samples - start))))
     return AxiomCheck(
         name=name,
         description=description,
-        samples=int(np.size(deviations)),
-        worst=worst,
+        samples=samples,
+        worst=float(worst),
         tolerance=tol,
         passed=bool(worst <= tol),
     )
@@ -47,36 +65,52 @@ def _check(
 def _certainty_corners() -> AxiomCheck:
     corners = neutro_entropy(np.array([1.0, 0.0]), 0.0, np.array([0.0, 1.0]))
     return _check(
-        "certainty-corners", "e(1,0,0) = e(0,0,1) = 0 exactly", np.abs(corners), 0.0
+        "certainty-corners",
+        "e(1,0,0) = e(0,0,1) = 0 exactly",
+        corners.size,
+        0.0,
+        lambda n: np.abs(corners),
     )
 
 
 def _balanced_entropy(rng: np.random.Generator, samples: int, tol: float) -> AxiomCheck:
-    vs = rng.random(samples)
-    is_ = rng.random(samples)
-    deviations = np.abs(neutro_entropy(vs, is_, vs) - 1.0)
-    return _check("balanced-entropy", "e(T,I,T) = e(F,I,F) = 1", deviations, tol)
+    def deviations(n: int) -> np.ndarray:
+        vs = rng.random(n)
+        is_ = rng.random(n)
+        return np.abs(neutro_entropy(vs, is_, vs) - 1.0)
+
+    return _check(
+        "balanced-entropy", "e(T,I,T) = e(F,I,F) = 1", samples, tol, deviations
+    )
 
 
 def _symmetry(rng: np.random.Generator, samples: int) -> AxiomCheck:
-    t, i, f = rng.random((samples, 3)).T
-    deviations = np.abs(neutro_entropy(t, i, f) - neutro_entropy(f, i, t))
+    def deviations(n: int) -> np.ndarray:
+        t, i, f = rng.random((n, 3)).T
+        return np.abs(neutro_entropy(t, i, f) - neutro_entropy(f, i, t))
+
     return _check(
-        "truth-falsity-symmetry", "e(T,I,F) = e(F,I,T) exactly", deviations, 0.0
+        "truth-falsity-symmetry",
+        "e(T,I,F) = e(F,I,T) exactly",
+        samples,
+        0.0,
+        deviations,
     )
 
 
 def _precondition_pairs(
     rng: np.random.Generator, samples: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rejection-sample triple pairs satisfying the monotonicity precondition."""
+    """Rejection-sample triple pairs satisfying the monotonicity precondition.
+
+    Candidates come in batches of ``_BLOCK`` pairs until ``samples`` are kept.
+    """
     left = np.empty((samples, 3))
     right = np.empty((samples, 3))
     got = 0
     while got < samples:
-        n = max(4096, 8 * (samples - got))
-        a = rng.random((n, 3))
-        b = rng.random((n, 3))
+        a = rng.random((_BLOCK, 3))
+        b = rng.random((_BLOCK, 3))
         keep = (
             (np.abs(a[:, 0] - a[:, 2]) >= np.abs(b[:, 0] - b[:, 2]))
             & (np.abs(a[:, 0] + a[:, 2] - 1.0) <= np.abs(b[:, 0] + b[:, 2] - 1.0))
@@ -90,29 +124,40 @@ def _precondition_pairs(
 
 
 def _monotonicity(rng: np.random.Generator, samples: int, tol: float) -> AxiomCheck:
-    left, right = _precondition_pairs(rng, samples)
-    deviations = neutro_entropy(*left.T) - neutro_entropy(*right.T)
+    def deviations(n: int) -> np.ndarray:
+        left, right = _precondition_pairs(rng, n)
+        return neutro_entropy(*left.T) - neutro_entropy(*right.T)
+
     return _check(
         "uncertainty-monotonicity",
         "sharper and less indeterminate triples have lower entropy",
-        deviations,
+        samples,
         tol,
+        deviations,
     )
 
 
 def _escort_normalization(
     rng: np.random.Generator, samples: int, tol: float
 ) -> AxiomCheck:
-    p_t, p_f = escort(*rng.random((samples, 3)).T)
-    deviations = np.abs(p_t + p_f - 1.0)
-    return _check("escort-normalization", "p_T + p_F = 1", deviations, tol)
+    def deviations(n: int) -> np.ndarray:
+        p_t, p_f = escort(*rng.random((n, 3)).T)
+        return np.abs(p_t + p_f - 1.0)
+
+    return _check("escort-normalization", "p_T + p_F = 1", samples, tol, deviations)
 
 
 def _no_contradiction(rng: np.random.Generator, samples: int, tol: float) -> AxiomCheck:
-    triple = neutro_components(*rng.random((samples, 4)).T)
-    deviations = bifuzzy(triple.truth, triple.falsity).contradiction
+    def deviations(n: int) -> np.ndarray:
+        triple = neutro_components(*rng.random((n, 4)).T)
+        return bifuzzy(triple.truth, triple.falsity).contradiction
+
     return _check(
-        "no-contradiction", "component triples satisfy T + F <= 1", deviations, tol
+        "no-contradiction",
+        "component triples satisfy T + F <= 1",
+        samples,
+        tol,
+        deviations,
     )
 
 

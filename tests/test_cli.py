@@ -461,6 +461,17 @@ class TestAxiomsCommand:
         assert cli.main(["axioms", "--samples", "10"]) == 0
         assert b"reduced confidence" in capsysbinary.readouterr().err
 
+    @pytest.mark.parametrize("seed", [101, 102, 103])
+    def test_lines_print_the_library_results_in_order(self, seed, capsysbinary):
+        assert cli.main(["axioms", "--samples", "5000", "--seed", str(seed)]) == 0
+        out = capsysbinary.readouterr().out.decode().splitlines()
+        checks = neutroseg.run_axiom_checks(samples=5000, seed=seed)
+        assert out == [
+            f"PASS {c.name}: worst deviation {c.worst:.3g}"
+            f" (tolerance {c.tolerance:g}, samples {c.samples})"
+            for c in checks
+        ]
+
     def test_seeded_runs_are_deterministic(self, capsysbinary):
         assert cli.main(["axioms", "--samples", "500", "--seed", "3"]) == 0
         first = capsysbinary.readouterr().out
