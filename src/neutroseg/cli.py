@@ -98,11 +98,11 @@ def _check_args(command: _Parser, args: argparse.Namespace) -> None:
         command.error("--max-thresholds must be at least 1")
 
 
-def _emit(
-    path: Optional[str], parts: Iterable[bytes | memoryview | np.ndarray]
-) -> None:
+def _emit(path: Optional[str], parts: Iterable[bytes | np.ndarray]) -> None:
     """Write ``parts`` in order, taking each from the iterable as it goes."""
     if path is None:
+        if sys.stdout is None:
+            raise OSError("standard output is closed")
         sys.stdout.buffer.writelines(parts)
         sys.stdout.buffer.flush()
     else:
@@ -184,7 +184,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
         seg = segment(image, found.thresholds)
         _report_segmentation(seg, image.depth)
         # the repaint keeps the input's size and depth, so its header; the
-        # raster is streamed in slices, never held whole beside the input
+        # raster is streamed in chunks, never held whole beside the input
         raster = image._lookup_slices(_level_paint(seg))
         _emit(args.out, chain([imgio._pgm_header(image)], raster))
     return EXIT_OK

@@ -2,30 +2,26 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
 
-# indices per bincount or take call: both convert their indices to intp
-# first, so working in chunks bounds that temporary at 512 KB whatever the
-# image size, and keeps it in cache. A take covers 2 * _CHUNK pixels, one
-# index per pair of levels. On a 4096^2 image (2-core x86 host), 2^16 gave
-# the fastest level count plus render of 2^14 .. 2^18 (52 ms against
-# 55-59 ms, medians of 3 fresh processes), and 2^18 raised the CLI's peak
-# RSS from 61.7 to 63.3 MB.
+# pixels per pass of every per-pixel loop: a bincount of the levels, a
+# gather of their table entries (bincount and take convert their indices to
+# intp first, so that temporary stays at 512 KB or less, in cache), the
+# buffer of a streamed repaint and a read of a P5 file the CLI streams. On
+# a 4096^2 P5 (2-core x86 host), `segment --out` to /dev/null peaked at
+# 31.3-31.5 MB RSS for 2^14 to 2^16, 31.5 for 2^17, 31.7 for 2^18 and
+# 38.5 for 2^20, against 32.4 with a 2^20 repaint and read buffer beside
+# 2^16 bincount and take calls; its wall time was 0.37-0.39 s at every
+# size (medians of 9 interleaved fresh processes), and neither the level
+# count nor the render of the image in process moved with the size. 2^16
+# had been the fastest level count plus render of 2^14 .. 2^18 (52 ms
+# against 55-59 ms), so it stays.
 _CHUNK = 1 << 16
-
-# pixels per slice of a streamed repaint (GrayImage._lookup_slices), and
-# bytes per chunk of a P5 file the CLI reads in two passes; the CLI holds a
-# buffer of each. On a 4096^2 P5 (2-core x86 host), `segment --out` to
-# /dev/null peaked at 31.4-31.5 MB RSS for 2^16, 31.6 for 2^18, 31.9 for
-# 2^19, 32.5 for 2^20, 33.9 for 2^21 and 37.9 for 2^22, and took 0.36 s at
-# 2^20 against 0.38-0.40 s at every other size (medians of 7 interleaved
-# fresh processes, 5 for 2^21 and 2^22). Reading the file whole, it had
-# peaked at 47.2-47.4 MB from 2^18 to 2^20.
-_SLICE = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,6 +43,11 @@ class GrayImage:
     depth: int = 256
 
     def __post_init__(self):
+        for name in ("width", "height", "depth"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError as exc:
+                raise ValueError(f"{name}: {exc}") from None
         levels = np.asarray(self.levels)
         if not np.issubdtype(levels.dtype, np.integer):
             raise ValueError("levels must be an integer array")
@@ -79,7 +80,7 @@ class GrayImage:
     @cached_property
     def level_counts(self) -> np.ndarray:
         """Pixel count of every level 0 .. depth-1 (int64, read-only)."""
-        counts = _count_levels([self.levels])[: self.depth]
+        counts = _count_levels(_chunks(self.levels))[: self.depth]
         counts.flags.writeable = False
         return counts
 
@@ -93,18 +94,15 @@ class GrayImage:
         raises ``TypeError``.
         """
         table = _check_table(table, self.depth)
+        pairs = _pair_table(table)
         out = np.empty(self.levels.size, dtype=table.dtype)
-        _gather(self.levels, table, _pair_table(table), out)
+        for chunk, dest in zip(_chunks(self.levels), _chunks(out)):
+            _gather(chunk, table, pairs, dest)
         return out
 
     def _lookup_slices(self, table: np.ndarray) -> Iterator[np.ndarray]:
-        """:meth:`lookup` in consecutive slices of ``_SLICE`` pixels.
-
-        See :func:`_lookup_chunks`.
-        """
-        levels = self.levels
-        chunks = (levels[i : i + _SLICE] for i in range(0, levels.size, _SLICE))
-        return _lookup_chunks(chunks, table, self.depth, min(_SLICE, levels.size))
+        """:meth:`lookup` in consecutive chunks; see :func:`_lookup_chunks`."""
+        return _lookup_chunks(_chunks(self.levels), table, self.depth)
 
 
 def _check_table(table: np.ndarray, depth: int) -> np.ndarray:
@@ -114,53 +112,49 @@ def _check_table(table: np.ndarray, depth: int) -> np.ndarray:
     return table
 
 
+def _chunks(array: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive slices of ``_CHUNK`` entries of a flat array, the last shorter."""
+    return (array[i : i + _CHUNK] for i in range(0, array.size, _CHUNK))
+
+
 def _count_levels(chunks: Iterable[np.ndarray]) -> np.ndarray:
     """Pixel count of every value 0 .. 255 over chunks of ``uint8`` levels."""
     counts = np.zeros(256, dtype=np.int64)
     for chunk in chunks:
-        for start in range(0, chunk.size, _CHUNK):
-            counts += np.bincount(chunk[start : start + _CHUNK], minlength=256)
+        counts += np.bincount(chunk, minlength=256)
     return counts
 
 
 def _lookup_chunks(
-    chunks: Iterable[np.ndarray], table: np.ndarray, depth: int, size: int
+    chunks: Iterable[np.ndarray], table: np.ndarray, depth: int
 ) -> Iterator[np.ndarray]:
-    """``table[chunk]`` for each chunk of ``uint8`` levels below ``depth``.
+    """``table[chunk]`` for each chunk of at most ``_CHUNK`` ``uint8`` levels.
 
-    The table is checked, its pair table built and a buffer of ``size``
-    entries, the largest chunk, allocated on the call, before the first
-    chunk is asked for. Every chunk is gathered into that one buffer, so a
-    result must be consumed before the next is requested.
+    Every level is below ``depth``. The table is checked, its pair table
+    built and a buffer of ``_CHUNK`` entries allocated on the call, before
+    the first chunk is asked for. Every chunk is gathered into that one
+    buffer, so a result must be consumed before the next is requested.
     """
     table = _check_table(table, depth)
     pairs = _pair_table(table)
-    buf = np.empty(size, dtype=table.dtype)
-
-    def gathered() -> Iterator[np.ndarray]:
-        for chunk in chunks:
-            _gather(chunk, table, pairs, buf[: chunk.size])
-            yield buf[: chunk.size]
-
-    return gathered()
+    buf = np.empty(_CHUNK, dtype=table.dtype)
+    return (_gather(chunk, table, pairs, buf[: chunk.size]) for chunk in chunks)
 
 
 def _gather(
     levels: np.ndarray, table: np.ndarray, pairs: np.ndarray, out: np.ndarray
-) -> None:
-    """Write ``table[levels]`` into ``out``, two pixels per ``pairs`` index."""
-    half = levels.size // 2
+) -> np.ndarray:
+    """``out`` filled with ``table[levels]``, two pixels per ``pairs`` index."""
+    even = levels.size - levels.size % 2
     # "<u2", not native uint16, so that levels (a, b) read as a + 256*b
     # on any host
-    index = levels[: 2 * half].view("<u2")
-    dest = out[: 2 * half].view(pairs.dtype)
-    for start in range(0, half, _CHUNK):
-        stop = start + _CHUNK
-        # every index is in range, so "clip" never clips; unlike the
-        # default "raise" it writes into out without a buffer
-        np.take(pairs, index[start:stop], out=dest[start:stop], mode="clip")
-    if levels.size % 2:
+    index = levels[:even].view("<u2")
+    # every index is in range, so "clip" never clips; unlike the default
+    # "raise" it writes into out without a buffer
+    np.take(pairs, index, out=out[:even].view(pairs.dtype), mode="clip")
+    if even < levels.size:
         out[-1] = table[levels[-1]]
+    return out
 
 
 def _pair_table(table: np.ndarray) -> np.ndarray:

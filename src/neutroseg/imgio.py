@@ -261,7 +261,7 @@ class _P5File:
 
     The header is parsed and checked as :func:`read_pgm` does. Each pass
     over the raster reads it from the open file ``fh`` in chunks of
-    ``_SLICE`` bytes, into one buffer allocated here: the constructor makes
+    ``_CHUNK`` bytes, into one buffer allocated here: the constructor makes
     the first pass, which counts the levels, and :meth:`_lookup_slices` the
     second, which repaints them. So memory does not grow with the image.
     """
@@ -271,7 +271,7 @@ class _P5File:
         self.depth = maxval + 1
         self.pixel_count = self.width * self.height
         self._fh = fh
-        self._buf = np.empty(min(image_mod._SLICE, self.pixel_count), np.uint8)
+        self._buf = np.empty(min(image_mod._CHUNK, self.pixel_count), np.uint8)
         counts = _count_levels(self._chunks())
         occupied = np.flatnonzero(counts)
         if occupied.size and occupied[-1] > maxval:
@@ -299,13 +299,13 @@ class _P5File:
                     raise PgmError("raster changed while it was read")
                 yield chunk
 
-        return _lookup_chunks(checked(), table, self.depth, self._buf.size)
+        return _lookup_chunks(checked(), table, self.depth)
 
 
 def _p5_header(fh) -> tuple[int, int, int, int]:
     """Width, height, maxval and raster offset of the P5 file ``fh``, checked."""
     fh.seek(0)
-    head = fh.read(image_mod._SLICE)
+    head = fh.read(image_mod._CHUNK)
     # maxval ends before the end of what was read, or at the file's end
     while _fields(head)[1] == len(head) and (more := fh.read(len(head))):
         head += more

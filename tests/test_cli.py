@@ -214,10 +214,10 @@ def _p2_bytes(img: GrayImage) -> bytes:
 
 
 class TestStreamedRepaint:
-    """A P5 input is read in chunks, twice for segment, and repainted in slices.
+    """A P5 input is read in chunks, twice for segment, and repainted in chunks.
 
-    Each pass reads the raster through one reused buffer of ``_SLICE``
-    bytes, and the repaint is written slice by slice through another.
+    Each pass reads the raster through one reused buffer of ``_CHUNK``
+    bytes, and the repaint is written chunk by chunk through another.
     """
 
     def check(self, img, tmp_path, capsysbinary):
@@ -246,16 +246,17 @@ class TestStreamedRepaint:
     def test_matches_the_whole_repaint_across_slice_edges(
         self, n, depth, tmp_path, monkeypatch, capsysbinary
     ):
-        # slices of 8 pixels: n is 2, slice - 1, slice, slice + 1, 2 * slice
-        # and 2 * slice + 3 (a single pixel is a constant image, which the
-        # CLI rejects before writing); every header is longer than a slice
-        monkeypatch.setattr(image_mod, "_SLICE", 8)
+        # the slices _lookup_slices yields are chunks, here of 8 pixels: n is
+        # 2, chunk - 1, chunk, chunk + 1, 2 * chunk and 2 * chunk + 3 (a
+        # single pixel is a constant image, which the CLI rejects before
+        # writing); every header is longer than a chunk
+        monkeypatch.setattr(image_mod, "_CHUNK", 8)
         self.check(_varied_image(n, depth), tmp_path, capsysbinary)
 
-    def test_matches_the_whole_repaint_beyond_one_real_slice(
+    def test_matches_the_whole_repaint_beyond_one_real_chunk(
         self, tmp_path, capsysbinary
     ):
-        n = 2 * image_mod._SLICE + 3
+        n = 2 * image_mod._CHUNK + 3
         self.check(_varied_image(n, 256), tmp_path, capsysbinary)
 
     def test_a_pipe_is_read_whole(self, tmp_path, capsysbinary):
@@ -309,7 +310,7 @@ class TestMalformedP5:
     def test_same_error_as_read_pgm(
         self, data, command, tmp_path, monkeypatch, capsysbinary
     ):
-        monkeypatch.setattr(image_mod, "_SLICE", 8)
+        monkeypatch.setattr(image_mod, "_CHUNK", 8)
         path = tmp_path / "bad.pgm"
         path.write_bytes(data)
         assert cli.main([command, str(path)]) == 2
@@ -318,7 +319,7 @@ class TestMalformedP5:
     def test_header_longer_than_the_first_read(
         self, tmp_path, monkeypatch, capsysbinary
     ):
-        monkeypatch.setattr(image_mod, "_SLICE", 8)
+        monkeypatch.setattr(image_mod, "_CHUNK", 8)
         img = _varied_image(19, 256)
         path = tmp_path / "in.pgm"
         head = b"P5 # a comment longer than a chunk\n19 1\n255\n"
@@ -342,7 +343,7 @@ class TestMalformedP5:
     def test_file_shrinking_between_passes_is_truncated_data(
         self, tmp_path, monkeypatch, capsysbinary, between_passes
     ):
-        monkeypatch.setattr(image_mod, "_SLICE", 8)
+        monkeypatch.setattr(image_mod, "_CHUNK", 8)
         path = tmp_path / "in.pgm"
         data = write_pgm(_varied_image(19, 256))
         path.write_bytes(data)
@@ -401,6 +402,18 @@ class TestErrorPaths:
         assert err.startswith(b"error:")
         assert err.count(b"\n") == 1
         assert b"Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["curve", "threshold", "segment"])
+    def test_closed_stdout_is_one_line_error(
+        self, command, bimodal_pgm, monkeypatch, capsysbinary
+    ):
+        # a process started with its stdout closed (`>&-`) has no sys.stdout
+        monkeypatch.setattr(sys, "stdout", None)
+        assert cli.main([command, bimodal_pgm]) == 2
+        err = capsysbinary.readouterr().err
+        # segment's threshold and region lines come first
+        assert err.splitlines()[-1] == b"error: standard output is closed"
+        assert err.count(b"error:") == 1 and b"Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -392,6 +392,26 @@ class TestWritePgm:
         assert (back.width, back.height, back.depth) == (16, 16, depth)
         assert np.array_equal(back.levels, img.levels)
 
+    def test_integer_sizes_of_any_type_are_stored_as_int(self):
+        img = GrayImage(np.int64(2), np.uint16(1), [0, 99], depth=np.int32(100))
+        flag = GrayImage(width=True, height=1, levels=[7])
+        for image in (img, flag):
+            sizes = (image.width, image.height, image.depth)
+            assert [type(v) for v in sizes] == [int] * 3
+            back = read_pgm(write_pgm(image))
+            assert (back.width, back.height, back.depth) == sizes
+            assert np.array_equal(back.levels, image.levels)
+        assert write_pgm(img) == b"P5\n2 1\n99\n\x00\x63"
+        assert write_pgm(flag) == b"P5\n1 1\n255\n\x07"
+
+    @pytest.mark.parametrize("name", ["width", "height", "depth"])
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_a_float_size_is_rejected(self, name, kind):
+        sizes = {"width": 2, "height": 1, "depth": 256}
+        sizes[name] = kind(sizes[name])
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            GrayImage(levels=[0, 255], **sizes)
+
     def test_strided_levels(self):
         raw = np.arange(6, dtype=np.uint8)[::2]
         assert not raw.flags.c_contiguous

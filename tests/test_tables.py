@@ -133,8 +133,10 @@ def check_lookup(img: GrayImage) -> None:
         assert got.tobytes() == table[img.levels].tobytes()
         entries = table.tolist()
         assert got.tolist() == [entries[v] for v in img.levels.tolist()]
-        streamed = b"".join(part.tobytes() for part in img._lookup_slices(table))
-        assert streamed == got.tobytes()
+        parts = [part.tobytes() for part in img._lookup_slices(table)]
+        # the streamed repaint gathers every part into one _CHUNK buffer
+        assert all(len(part) <= image_mod._CHUNK * table.itemsize for part in parts)
+        assert b"".join(parts) == got.tobytes()
 
 
 def check_pipeline(img: GrayImage, levels: np.ndarray) -> None:
