@@ -197,12 +197,12 @@ def cmd_axioms(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     checks = axioms_mod.run_axiom_checks(samples=args.samples, seed=args.seed)
-    for c in checks:
-        verdict = "PASS" if c.passed else "FAIL"
-        print(
-            f"{verdict} {c.name}: worst deviation {c.worst:.3g}"
-            f" (tolerance {c.tolerance:g}, samples {c.samples})"
-        )
+    lines = [
+        f"{'PASS' if c.passed else 'FAIL'} {c.name}: worst deviation {c.worst:.3g}"
+        f" (tolerance {c.tolerance:g}, samples {c.samples})\n"
+        for c in checks
+    ]
+    _emit(None, ["".join(lines).encode("utf-8")])
     if all(c.passed for c in checks):
         return EXIT_OK
     print("error: entropy property violated", file=sys.stderr)

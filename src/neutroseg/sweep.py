@@ -254,46 +254,33 @@ def entropy_curve(hist: Histogram) -> EntropyCurve:
     return EntropyCurve(q=hist.q, t=ts, e_t=e_t, e_i=e_i, e_f=e_f, total=total)
 
 
-def _plateau_runs(values: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs [a, b] of consecutive exactly-equal values."""
-    breaks = np.flatnonzero(np.diff(values) != 0.0)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [values.size - 1]))
-    return list(zip(starts.tolist(), ends.tolist()))
-
-
 def find_thresholds(curve: EntropyCurve, max_thresholds: int = 8) -> ThresholdSet:
     """Thresholds at the interior local minima of the total-entropy curve.
 
-    A run of equal values strictly below both neighbors counts as one
-    minimum at its center sample (lower median); curve endpoints never
+    The curve splits into plateau runs, maximal runs of equal values. A run
+    strictly below both neighboring runs is one minimum, reported at its
+    center sample (the lower median); the runs at the curve's ends never
     qualify. With more minima than ``max_thresholds``, the ones with the
     smallest entropy are kept (ties to the smaller threshold). When no
-    interior minimum exists at all, the center of the first plateau
-    attaining the global minimum is returned with ``fallback_used`` set.
+    interior minimum exists at all, the center of the first run attaining
+    the global minimum is returned with ``fallback_used`` set. A curve
+    holding a NaN raises ``ValueError``.
     """
     if len(curve) == 0:
         raise ValueError("entropy curve is empty")
     if max_thresholds < 1:
         raise ValueError("max_thresholds must be at least 1")
-    e = curve.total
-    last = e.size - 1
-    runs = _plateau_runs(e)
-    minima = []
-    for a, b in runs:
-        if a == 0 or b == last:
-            continue
-        if e[a - 1] > e[a] and e[b + 1] > e[b]:
-            center = (a + b) // 2
-            minima.append((float(e[center]), float(curve.t[center])))
-    if not minima:
-        lowest = e.min()
-        for a, b in runs:
-            if e[a] == lowest:
-                center = (a + b) // 2
-                return ThresholdSet(
-                    thresholds=np.array([curve.t[center]]), fallback_used=True
-                )
-    minima.sort()
-    kept = sorted(t for _, t in minima[:max_thresholds])
-    return ThresholdSet(thresholds=np.array(kept), fallback_used=False)
+    e, t = curve.total, curve.t
+    if np.isnan(e).any():
+        raise ValueError("entropy curve holds NaN")
+    # run k is samples a[k]..b[k], all equal to v[k]
+    b = np.append(np.flatnonzero(e[1:] != e[:-1]), e.size - 1)
+    a = np.append(0, b[:-1] + 1)
+    center = (a + b) // 2
+    v = e[b]
+    minima = center[1:-1][(v[1:-1] < v[:-2]) & (v[1:-1] < v[2:])]
+    if minima.size == 0:
+        first_lowest = center[np.argmax(v == v.min())]
+        return ThresholdSet(thresholds=t[[first_lowest]], fallback_used=True)
+    kept = minima[np.lexsort((t[minima], e[minima]))[:max_thresholds]]
+    return ThresholdSet(thresholds=np.sort(t[kept]), fallback_used=False)

@@ -403,13 +403,14 @@ class TestErrorPaths:
         assert err.count(b"\n") == 1
         assert b"Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["curve", "threshold", "segment"])
+    @pytest.mark.parametrize("command", ["curve", "threshold", "segment", "axioms"])
     def test_closed_stdout_is_one_line_error(
         self, command, bimodal_pgm, monkeypatch, capsysbinary
     ):
         # a process started with its stdout closed (`>&-`) has no sys.stdout
         monkeypatch.setattr(sys, "stdout", None)
-        assert cli.main([command, bimodal_pgm]) == 2
+        args = ["--samples", "1000"] if command == "axioms" else [bimodal_pgm]
+        assert cli.main([command, *args]) == 2
         err = capsysbinary.readouterr().err
         # segment's threshold and region lines come first
         assert err.splitlines()[-1] == b"error: standard output is closed"

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import neutroseg.sweep as sweep
 import oracle
@@ -32,12 +34,42 @@ def two_delta_image():
     return image_from_unit([0.2, 0.2, 0.8, 0.8])
 
 
-def curve_of(totals, q=100):
-    """Synthetic curve over t = 1/q, 2/q, ... with the given total column."""
+def curve_of(totals, q=100, steps=None):
+    """Synthetic curve over t = 1/q, 2/q, ... with the given total column.
+
+    ``steps`` lists the grid step of every sample, 1, 2, ... when omitted.
+    """
     e = np.asarray(totals, dtype=np.float64)
-    t = np.arange(1, e.size + 1, dtype=np.float64) / q
+    steps = np.arange(1, e.size + 1) if steps is None else np.asarray(steps)
+    t = steps.astype(np.float64) / q
     z = np.zeros_like(e)
     return EntropyCurve(q=q, t=t, e_t=z, e_i=z, e_f=z, total=e)
+
+
+def select_by_loop(total, t, max_thresholds):
+    """The selection rule walked one plateau run at a time: (thresholds, fallback)."""
+    e, t, n = [float(v) for v in total], [float(v) for v in t], len(total)
+    runs, a = [], 0
+    for i in range(1, n + 1):
+        if i == n or e[i] != e[a]:
+            runs.append((a, i - 1))
+            a = i
+    minima = []
+    for a, b in runs:
+        if a > 0 and b < n - 1 and e[a - 1] > e[a] and e[b + 1] > e[b]:
+            minima.append((e[(a + b) // 2], t[(a + b) // 2]))
+    if not minima:
+        a, b = next(r for r in runs if e[r[0]] == min(e))
+        return [t[(a + b) // 2]], True
+    return sorted(tt for _, tt in sorted(minima)[:max_thresholds]), False
+
+
+def assert_selects_by_loop(curve, max_thresholds):
+    found = find_thresholds(curve, max_thresholds=max_thresholds)
+    want, fallback = select_by_loop(curve.total, curve.t, max_thresholds)
+    assert found.thresholds.tolist() == want
+    assert found.thresholds.dtype == np.float64
+    assert found.fallback_used == fallback
 
 
 class TestBuildHistogram:
@@ -425,6 +457,37 @@ class TestFindThresholds:
             find_thresholds(curve_of([]))
         with pytest.raises(ValueError):
             find_thresholds(curve_of([0.5, 0.2, 0.5]), max_thresholds=0)
+
+    @pytest.mark.parametrize(
+        "totals",
+        [[0.5, np.nan, 0.5], [np.nan] * 3, [0.5, 0.2, np.nan, 0.1, 0.5]],
+    )
+    def test_nan_curve_raises(self, totals):
+        with pytest.raises(ValueError, match="entropy curve holds NaN"):
+            find_thresholds(curve_of(totals))
+
+    @settings(deadline=None, max_examples=500)
+    @given(st.data())
+    def test_matches_a_loop_over_runs(self, data):
+        # equal infinities, and 0.0 beside -0.0, form one run like any equal values
+        alphabet = [-np.inf, -0.0, 0.0, 0.2, 0.5, np.inf]
+        totals = data.draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=40))
+        # thresholds drawn out of order too, so ties are broken by the
+        # threshold and not by the sample position
+        steps = range(1, len(totals) + 1)
+        steps = data.draw(st.one_of(st.just(list(steps)), st.permutations(steps)))
+        max_thresholds = data.draw(st.integers(1, 9))
+        assert_selects_by_loop(curve_of(totals, steps=steps), max_thresholds)
+
+    def test_matches_a_loop_over_runs_on_real_curves(self):
+        # 65535 and 3481 runs, with 213 and 72 minima
+        random_curve = entropy_curve(
+            build_histogram(random_image(8, 256, 256), q=sweep.MAX_Q)
+        )
+        img = mixture_image(0, [0.25, 0.75], [0.05, 0.05], [0.5, 0.5])
+        for curve in (random_curve, entropy_curve(build_histogram(img, q=4000))):
+            for max_thresholds in (1, 8):
+                assert_selects_by_loop(curve, max_thresholds)
 
 
 class TestMixturePipeline:
