@@ -12,7 +12,8 @@ elementwise; scalar input yields ``float`` results. The histogram sweep in
 :func:`memberships` once per distinct class-mean column and
 :func:`neutrality` and the rest once per cell, so an array call and the
 matching scalar calls produce the same doubles. All are pure functions of
-their arguments and safe to call from any number of threads.
+their arguments, safe to call from any number of threads: they compute in
+place into temporaries of their own and never write into an argument.
 """
 
 from __future__ import annotations
@@ -66,11 +67,11 @@ def _contest(a: Real, b: Real, tie: float) -> Real:
     and ``tie`` at the degenerate a == b == 0.
     """
     prod = a * b
-    den = (a + b) - prod
-    live = den > 0.0
-    out = np.where(live, (b - prod) / np.where(live, den, 1.0), tie)
-    # np.where makes scalars 0-d arrays; [()] turns those back into floats
-    return out[()]
+    den = a + b
+    den -= prod
+    tied = np.full(np.shape(den), tie)
+    # tied is 0-d for scalars; [()] turns that back into a float
+    return np.divide(b - prod, den, out=tied, where=den > 0.0)[()]
 
 
 def memberships(x: Real, v1: Real, v2: Real) -> tuple[Real, Real, Real]:
@@ -123,15 +124,26 @@ def escort(truth: Real, neutrality: Real, falsity: Real) -> EscortPair:
     and the total is renormalized by 1 + I + U + C.
     """
     u, c = bifuzzy(truth, falsity)
-    den = 1.0 + neutrality + u + c
+    # one array of the broadcast shape (0-d for scalars) for each result
+    shape = np.broadcast(truth, neutrality, falsity).shape
+    den = np.add(1.0, neutrality, out=np.empty(shape))
+    den += u
+    den += c
     half_i = 0.5 * neutrality
-    return EscortPair((truth + u + half_i) / den, (falsity + u + half_i) / den)
+    p_t, p_f = (np.add(v, u, out=np.empty(shape)) for v in (truth, falsity))
+    for p in p_t, p_f:
+        p += half_i
+        p /= den
+    return EscortPair(p_t[()], p_f[()])
 
 
 def _xlogx(p: Real) -> Real:
     """p * ln(p), with the 0 * log(0) = 0 convention for p <= 0."""
     live = p > 0.0
-    return np.where(live, p * np.log(np.where(live, p, 1.0)), 0.0)
+    out = np.log(p, out=np.zeros(np.shape(p)), where=live)
+    # the multiply is masked too: unmasked, it would turn the 0.0 kept for
+    # p = nan into nan and the one for p = -0.5 into -0.0
+    return np.multiply(p, out, out=out, where=live)
 
 
 def neutro_entropy(truth: Real, neutrality: Real, falsity: Real) -> Real:
@@ -142,6 +154,10 @@ def neutro_entropy(truth: Real, neutrality: Real, falsity: Real) -> Real:
     falsity. Uses the 0 * log(0) = 0 convention.
     """
     p_t, p_f = escort(truth, neutrality, falsity)
-    e = -(_xlogx(p_t) + _xlogx(p_f)) / _LN2
+    e = _xlogx(p_t)
+    e += _xlogx(p_f)
+    np.negative(e, out=e)
+    e /= _LN2
+    np.clip(e, 0.0, 1.0, out=e)
     # adding 0.0 turns the -0.0 of a certain outcome into +0.0
-    return np.clip(e, 0.0, 1.0) + 0.0
+    return np.add(e, 0.0, out=e)[()]

@@ -18,6 +18,10 @@ and are evaluated per cell. The repeated arrays must be C-ordered like the
 rest of the block, because numpy sums a C-ordered block's rows in order but
 reduces an F-ordered one pairwise, which would change the curve's last bits.
 
+Each weighted mean is a ratio of column sums, weighted entropies over weights:
+every block writes the sums of its columns, and the curve divides them once
+after the last block.
+
 The grid is evaluated in blocks of consecutive candidate columns, about
 ``_BLOCK_CELLS`` cells each, so the sweep's memory does not grow with ``q``
 beyond its O(q) per-candidate arrays; ``MAX_Q`` caps those. Every block is at
@@ -184,14 +188,6 @@ def partial_entropies(hist: Histogram, t: float) -> tuple[float, float, float]:
     return tuple(num / den if den >= ZERO_MASS else 0.0 for num, den in sums)
 
 
-def _weighted_mean(w: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Column means of ``e`` weighted by ``w``; 0 where the mass is below ZERO_MASS."""
-    num = np.sum(w * e, axis=0)
-    den = np.sum(w, axis=0)
-    live = den >= ZERO_MASS
-    return np.where(live, num / np.where(live, den, 1.0), 0.0)
-
-
 def entropy_curve(hist: Histogram) -> EntropyCurve:
     """Evaluate the entropy sweep at every candidate threshold.
 
@@ -229,7 +225,8 @@ def entropy_curve(hist: Histogram) -> EntropyCurve:
     # rows are occupied bins, columns candidates
     c = hist.counts[occ].astype(np.float64)[:, None]
     x = vals[occ][:, None]
-    e_t, e_i, e_f = parts = [np.empty(ks.size) for _ in range(3)]
+    # weighted entropy sums and weight masses, rows T, I, F
+    num, den = np.empty((3, ks.size)), np.empty((3, ks.size))
     cells = occ.size * ks.size
     blocks = max(1, min(ks.size // 2, -(-cells // _BLOCK_CELLS)))
     edges = [i * ks.size // blocks for i in range(blocks + 1)]
@@ -248,8 +245,13 @@ def entropy_curve(hist: Histogram) -> EntropyCurve:
         )
         triple = (truth, neutrality(x, ts[a:b], nearer), falsity)
         e = neutro_entropy(*triple)
-        for out, w in zip(parts, triple):
-            out[a:b] = _weighted_mean(c * w, e)
+        # the block owns its weights, so they are scaled in place: w * c is c * w
+        for k, w in enumerate(triple):
+            w *= c
+            np.sum(w, axis=0, out=den[k, a:b])
+            w *= e
+            np.sum(w, axis=0, out=num[k, a:b])
+    e_t, e_i, e_f = np.divide(num, den, out=np.zeros_like(num), where=den >= ZERO_MASS)
     total = (e_t + e_i + e_f) / 3.0
     return EntropyCurve(q=hist.q, t=ts, e_t=e_t, e_i=e_i, e_f=e_f, total=total)
 

@@ -68,3 +68,18 @@ def test_nan_deviation_in_a_later_block_fails_the_check():
     check = _check("made-up", "", 3 * _BLOCK, 1e-12, deviations)
     assert np.isnan(check.worst)
     assert not check.passed
+
+
+def test_worst_deviations_pinned():
+    # recorded at commit 7e5fa7a; the exactness tests elsewhere compare the
+    # core formulas only with themselves, so a last-bit drift shows here
+    want = {
+        "certainty-corners": "0x0.0p+0",
+        "balanced-entropy": "0x1.0000000000000p-53",
+        "truth-falsity-symmetry": "0x0.0p+0",
+        "uncertainty-monotonicity": "-0x1.13f3093830000p-17",
+        "escort-normalization": "0x1.8000000000000p-52",
+        "no-contradiction": "0x0.0p+0",
+    }
+    checks = ns.run_axiom_checks(10_000, seed=7)
+    assert {c.name: c.worst.hex() for c in checks} == want

@@ -1,5 +1,7 @@
 """Frozen examples and sampled properties of the scalar component math."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from neutroseg import (
     bifuzzy,
+    core,
     dissimilarity,
     escort,
     neutro_components,
@@ -188,3 +191,141 @@ class TestArrayInputs:
         ]
         for v in values:
             assert isinstance(v, float)
+
+
+NAN, INF = math.nan, math.inf
+
+# (function, arguments, result) of the implementation at commit 7e5fa7a;
+# a NaN anywhere in the arguments or an infinity can still give a finite result
+SPECIAL = [
+    ("dissimilarity", (NAN, 0.5), NAN),
+    ("dissimilarity", (INF, 0.5), NAN),
+    ("dissimilarity", (-INF, INF), NAN),
+    ("dissimilarity", (-0.5, 0.0), 0.4),
+    ("dissimilarity", (-0.0, 0.0), 0.0),
+    ("_contest", (NAN, 0.2, 0.5), 0.5),
+    ("_contest", (0.0, 0.0, 1.0), 1.0),
+    ("_contest", (INF, 0.2, 0.5), 0.5),
+    ("_contest", (0.2, INF, 0.5), 0.5),
+    ("_contest", (-0.5, 0.5, 0.5), 3.0),
+    ("_contest", (-0.5, -0.5, 0.5), 0.5),
+    ("memberships", (NAN, 0.2, 0.8), (0.5, 0.5, NAN)),
+    ("memberships", (-0.0, 0.0, 0.0), (0.5, 0.5, 0.0)),
+    ("neutrality", (0.3, INF, 0.1), 1.0),
+    ("neutrality", (0.3, 0.3, -0.0), 1.0),
+    ("neutro_components", (NAN, 0.2, 0.8, 0.5), (0.5, 1.0, 0.5)),
+    ("neutro_components", (-0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 0.0)),
+    ("bifuzzy", (NAN, 0.0), (NAN, NAN)),
+    ("bifuzzy", (INF, 0.0), (0.0, INF)),
+    ("bifuzzy", (-INF, 0.0), (INF, 0.0)),
+    ("bifuzzy", (-0.5, -0.5), (2.0, 0.0)),
+    ("bifuzzy", (-0.0, 0.0), (1.0, 0.0)),
+    ("escort", (INF, 0.0, 0.0), (NAN, 0.0)),
+    ("escort", (NAN, 0.2, 0.3), (NAN, NAN)),
+    ("escort", (-0.5, 0.0, 0.0), (0.4, 0.6)),
+    ("escort", (0.0, -0.0, 0.0), (0.5, 0.5)),
+    ("escort", (0.0, INF, 0.0), (NAN, NAN)),
+    ("_xlogx", (-0.5,), 0.0),
+    ("_xlogx", (NAN,), 0.0),
+    ("_xlogx", (INF,), INF),
+    ("_xlogx", (-INF,), 0.0),
+    ("_xlogx", (-0.0,), 0.0),
+    ("_xlogx", (0.0,), 0.0),
+    ("neutro_entropy", (NAN, 0.2, 0.3), 0.0),
+    ("neutro_entropy", (INF, 0, 0), 0.0),
+    ("neutro_entropy", (-INF, 0.0, 0.0), 0.0),
+    ("neutro_entropy", (-0.5, 0.0, 0.0), 0.9709505944546688),
+    ("neutro_entropy", (0.0, 0.0, 0.0), 1.0),
+    ("neutro_entropy", (0.5, INF, 0.5), 0.0),
+    ("neutro_entropy", (-0.0, 0.0, 1.0), 0.0),
+    ("neutro_entropy", (0.2, NAN, 0.3), 0.0),
+]
+
+# every argument tuple drawn from GRID, evaluated as arrays: SHA-256 of the
+# result bits (NaNs made canonical), recorded at commit 7e5fa7a
+GRID = [NAN, INF, -INF, -0.5, -0.0, 0.0, 0.25, 1.0]
+GRID_DIGESTS = {
+    "dissimilarity": "25482b2246abeec5818dfc9180d69d567362678b28388083a5f290440cd88a0a",
+    "_contest": "a2db9f72882c85ceea5f9da710e6ae482f4e91ca675c64abd1f335d177058063",
+    "memberships": "0969575b5de74c144970aeb4efafd64ab0bb68ab42080ea5fb150d1e2fa4d0ad",
+    "neutrality": "de1c6dc062c62891a287ff65285ac54cf5ca6017b0879d3ec3d1a05c85150b25",
+    "neutro_components": "23fb85331ef7bb6824e1de4bff6dedf6211d0b7442d71765df1f324c523839ad",
+    "bifuzzy": "f3c2cc2eff5854fb04e2121eb7d0aabed3d0cd08973dfd179845db09d18a4c2c",
+    "escort": "0df6dfb8c7f397d3b4f6b56a27eff1f40b22190e67091dd52479370b247d241f",
+    "_xlogx": "d03af20f992c40665ad6672c2abd9f44a6a264957910051321af216b5453d19f",
+    "neutro_entropy": "8988f1b5ce2bbb7cdc9afa745ba0c2f8ca2a00df0856a1ad638cd8de878a2f96",
+}
+
+
+def core_function(name):
+    """The ``core`` function ``name``; ``_contest`` with its tie fixed at 0.5."""
+    if name == "_contest":
+        return lambda a, b: core._contest(a, b, 0.5)
+    return getattr(core, name)
+
+
+def bits(values):
+    """Result bits with every NaN made the one canonical NaN."""
+    r = np.asarray(values, dtype=np.float64)
+    return np.where(np.isnan(r), np.nan, r).tobytes()
+
+
+class TestSpecialValues:
+    """NaN, infinite, negative and signed-zero inputs keep their results."""
+
+    @pytest.mark.parametrize("name, args, want", SPECIAL)
+    def test_scalar_result(self, name, args, want):
+        with np.errstate(all="ignore"):
+            got = getattr(core, name)(*args)
+        assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("name", GRID_DIGESTS)
+    def test_grid_digest_and_scalar_calls(self, name):
+        fn = core_function(name)
+        arity = fn.__code__.co_argcount
+        columns = np.array(list(itertools.product(GRID, repeat=arity))).T
+        with np.errstate(all="ignore"):
+            got = fn(*columns)
+            rows = [fn(*map(float, args)) for args in zip(*columns)]
+        got = got if isinstance(got, tuple) else (got,)
+        digest = hashlib.sha256(b"".join(map(bits, got))).hexdigest()
+        assert digest == GRID_DIGESTS[name]
+        want = zip(*rows) if isinstance(rows[0], tuple) else (rows,)
+        for g, w in zip(got, want):
+            assert bits(g) == bits(list(w))
+
+
+class TestArgumentsUntouched:
+    """No ``core`` function (GRID_DIGESTS names them all) writes into its arguments."""
+
+    R, C = 7, 5
+
+    @pytest.fixture
+    def shaped(self):
+        """Arrays in the sweep's shapes (R, 1), (1, C), (R, C) and 0-d."""
+        rng = np.random.default_rng(3)
+        values = rng.random(self.R * self.C)
+        values[::4] = 0.0
+        values[1::6] = 1.0
+        return [
+            values[: self.R].reshape(self.R, 1).copy(),
+            values[: self.C].reshape(1, self.C).copy(),
+            values.reshape(self.R, self.C).copy(),
+            np.array(values[3]),
+        ]
+
+    @pytest.mark.parametrize("name", GRID_DIGESTS)
+    def test_shapes_in_every_position(self, shaped, name):
+        fn = core_function(name)
+        for args in itertools.product(shaped, repeat=fn.__code__.co_argcount):
+            before = [a.tobytes() for a in args]
+            fn(*args)
+            assert [a.tobytes() for a in args] == before
+
+    @pytest.mark.parametrize("name", GRID_DIGESTS)
+    def test_aliased_arguments(self, shaped, name):
+        fn = core_function(name)
+        for a in shaped:
+            before = a.tobytes()
+            fn(*[a] * fn.__code__.co_argcount)
+            assert a.tobytes() == before

@@ -1,5 +1,6 @@
 """Histogram, candidate grid, entropy sweep and minima extraction."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from neutroseg import (
     neutro_components,
     neutro_entropy,
     partial_entropies,
+    write_curve,
 )
 
 TOL = 1e-12
@@ -229,17 +231,18 @@ class TestBlockedSweep:
     def blocked_curve(monkeypatch, hist, budget):
         """Curve at cell budget ``budget``, and the width of every block."""
         widths = []
-        weighted_mean = sweep._weighted_mean
+        entropy = sweep.neutro_entropy
 
-        def spy(w, e):
-            widths.append(e.shape[1])
-            return weighted_mean(w, e)
+        def spy(*triple):
+            result = entropy(*triple)
+            widths.append(result.shape[1])
+            return result
 
         with monkeypatch.context() as m:
             m.setattr(sweep, "_BLOCK_CELLS", budget)
-            m.setattr(sweep, "_weighted_mean", spy)
+            m.setattr(sweep, "neutro_entropy", spy)
             curve = entropy_curve(hist)
-        return curve, widths[::3]
+        return curve, widths
 
     @pytest.mark.parametrize(
         "image, q",
@@ -315,15 +318,18 @@ def per_cell_curve(hist):
     ts = vals[ks]
     c = hist.counts[occ].astype(np.float64)[:, None]
     x = vals[occ][:, None]
-    parts = [np.empty(ks.size) for _ in range(3)]
+    num, den = np.empty((3, ks.size)), np.empty((3, ks.size))
     cells = occ.size * ks.size
     blocks = max(1, min(ks.size // 2, -(-cells // sweep._BLOCK_CELLS)))
     for i in range(blocks):
         a, b = i * ks.size // blocks, (i + 1) * ks.size // blocks
         triple = neutro_components(x, v1s[a:b], v2s[a:b], ts[a:b])
         e = neutro_entropy(*triple)
-        for out, w in zip(parts, triple):
-            out[a:b] = sweep._weighted_mean(c * w, e)
+        for k, w in enumerate(triple):
+            den[k, a:b] = np.sum(c * w, axis=0)
+            num[k, a:b] = np.sum(c * w * e, axis=0)
+    parts = np.zeros_like(num)
+    np.divide(num, den, out=parts, where=den >= sweep.ZERO_MASS)
     return (ts, *parts, (parts[0] + parts[1] + parts[2]) / 3.0)
 
 
@@ -391,6 +397,69 @@ class TestDistinctColumns:
         hist = build_histogram(full_range_image(256), q=255)
         seen = self.membership_columns(monkeypatch, hist)
         assert sum(seen) == candidate_thresholds(hist).size == 254
+
+
+class TestPinnedCurves:
+    """Curves and curve text match the digests recorded at commit 7e5fa7a.
+
+    The other exactness tests compare the sweep with the scalar reference,
+    with other block sizes and with a per-cell sweep, all built from the same
+    ``core``; a change that moved the last bits of every result alike would
+    pass them. These SHA-256 digests would not.
+    """
+
+    CASES = {
+        "full256-q255": (full_range_image(256), 255),
+        "bimodal-q1000": (
+            mixture_image(4, [0.3, 0.7], [0.08, 0.1], [0.4, 0.6], 4096, 64),
+            1000,
+        ),
+        "random64-q4000": (random_image(11, 64, 64), 4000),
+        "depth64-qmax": (random_image(12, 32, 32, depth=64), sweep.MAX_Q),
+    }
+    DIGESTS = {
+        "full256-q255": {
+            "t": "4895f1442358918dd6ef4036964c9c4021b335465db92d2eab7d4034a11e254d",
+            "e_t": "d9e8a4632150d02ec7756c6c7b2876e16b966cc8aee6331ffbe874e5dd2ec042",
+            "e_i": "b0a82454f08c2e5fa8a010cf082911202d6d99002fc85989d14e6ee116cbdd50",
+            "e_f": "bba2fd2cd0a555bbcca8a9da105c28bf7205169dec1bbc30387d53aa612f1058",
+            "total": "c54a618b0604cac3d9e0bde9ee0f1a23a8d1db4d48c6d3c11bc1947fd0bb2b49",
+            "csv": "5be56f08f6af276189ebf9f35a9749bc5b79b7e7deb9622d56d3504e08f21c6a",
+        },
+        "bimodal-q1000": {
+            "t": "019528252dc3befe69cd8bcae9a01661004a0df26ffdd054405711ce75bfc8b7",
+            "e_t": "5b223eb29e8aa88c74d4ef26cd040ce5dd5928e805e5571d9bfdc22ebd1dd510",
+            "e_i": "5d956bcd364bac2038702c74c63fc700cfe8fb583acc4931d99ca6c275771ec4",
+            "e_f": "342a2d323d41c59de4bb5e2aedef1ef6118db56ae04f793b89c390de0cf217ea",
+            "total": "6b7c122c82dc60c101392acc0636a30d0c1c460dc3929f52a56ff4564aa49ed1",
+            "csv": "24af9d50475a201099df0160c177591c2833afb394e84bbeb1f72a3b0357c06b",
+        },
+        "random64-q4000": {
+            "t": "b554d41b33caf4260c7ae13cdf961c3b617ef21c49a0dd87f7e9f5a0c58d86d9",
+            "e_t": "38fb9532049e45a8f6fbfcb45641823c34cf0f1c2ace172d80f2dc8ca8b26f38",
+            "e_i": "51ab42d742b4f9d68edae9b4903ddaeb6069d0660c43cc1688dcd06c0bd09494",
+            "e_f": "077e5e3862cbd41116cab2be0117e27e94be67b848657467a1ba0184e562ee56",
+            "total": "b4856eb0ead35737c8ad4ad39146a036a596ca4e8cb21a1283002156130b2240",
+            "csv": "9e5266405e5310b8f9ed1f05b502a1c91580644dd0e199219dfd1373b37dcf0d",
+        },
+        "depth64-qmax": {
+            "t": "d5ded13ec1f5e2c09ab1a23c7062096c3416d6428babf8f38f1930c28c36eaf5",
+            "e_t": "4ef27c1c74e6f7a2ed8378808e7e3d1152ed01527bfe6264642b07d3f001397d",
+            "e_i": "f4e25b87c7f911f5bce4b854f971218f64f4a5b286a87d1693c07fd21f575839",
+            "e_f": "b929e330c75c2ab17b49cbe473a40b2e2510d7ee5712c229565e0ec0c13172d9",
+            "total": "005f6a55df07aa63455d97e8b6e2fb3c77ad98e60eb243f1ba5c5e55bfecebd2",
+            "csv": "f8e35d1efd7c47ae21cc7af6534ecb2d09e8da22cc4a036ae4419796c55b13c5",
+        },
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_digests(self, name):
+        image, q = self.CASES[name]
+        curve = entropy_curve(build_histogram(image, q=q))
+        got = {col: getattr(curve, col).tobytes() for col in TestBlockedSweep.COLUMNS}
+        got["csv"] = write_curve(curve)
+        got = {key: hashlib.sha256(data).hexdigest() for key, data in got.items()}
+        assert got == self.DIGESTS[name]
 
 
 class TestFindThresholds:
