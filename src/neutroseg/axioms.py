@@ -47,7 +47,9 @@ def _check(
     ``deviations(n)`` draws ``n`` samples and returns their deviations; it is
     called on consecutive blocks of at most ``_BLOCK``. The running worst
     starts at ``-inf``, since a deviation may be negative, and ``np.maximum``
-    carries a NaN through so that it fails the check.
+    carries a NaN deviation through so that it fails the check. A NaN or
+    infinite input need not give one: :func:`neutro_entropy` maps it to 0.0,
+    so a property comparing two such entropies can still pass.
     """
     worst = -np.inf
     for start in range(0, samples, _BLOCK):

@@ -277,6 +277,7 @@ class _P5File:
         if occupied.size and occupied[-1] > maxval:
             raise _out_of_range(int(occupied[0]), int(occupied[-1]), maxval)
         self.level_counts = counts[: self.depth]
+        self.level_counts.flags.writeable = False
 
     def _chunks(self) -> Iterator[np.ndarray]:
         """The raster, a chunk at a time, each valid until the next is read."""

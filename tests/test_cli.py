@@ -1,5 +1,7 @@
 """End-to-end command-line behavior, run in process."""
 
+import argparse
+import errno
 import math
 import os
 import subprocess
@@ -426,25 +428,88 @@ class TestErrorPaths:
             ["threshold", "x.pgm", "--max-thresholds", "0"],
             ["axioms", "--samples", "0"],
             ["curve", "x.pgm", "--q", "65537"],
+            ["curve", "x.pgm", "--max-thresholds", "2"],
         ],
     )
     def test_usage_errors(self, argv, capsysbinary):
         assert cli.main(argv) == 1
         assert b"error:" in capsysbinary.readouterr().err
 
+    RANGE_ERRORS = [
+        (["curve", "x.pgm", "--q", "65537"], "must be at most 65536"),
+        (["segment", "x.pgm", "--q", "1"], "must be at least 2"),
+        (["threshold", "x.pgm", "--max-thresholds", "0"], "must be at least 1"),
+        (["axioms", "--seed", "-1"], "must be at least 0"),
+        (["axioms", "--samples", "0"], "must be at least 1"),
+        (["segment", "x.pgm", "--max-thresholds", "0"], "must be at least 1"),
+        (["curve", "x.pgm", "--q", "abc"], "invalid int value: 'abc'"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        RANGE_ERRORS,
+        ids=[f"argv{i}" for i in range(len(RANGE_ERRORS))],
+    )
+    def test_range_errors_show_the_subcommand_usage(self, argv, message, capsysbinary):
+        assert cli.main(argv) == 1
+        err = capsysbinary.readouterr().err.decode()
+        command, option = argv[0], argv[-2]
+        head = f"error: neutroseg {command}: argument {option}: {message}\n"
+        assert err.startswith(head)
+        assert f"\nusage: neutroseg {command} [-h]" in err
+
+    def test_each_subcommand_declares_only_the_options_it_reads(self):
+        parser = cli._build_parser()
+        (sub,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        options = {
+            name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        selecting = {"--q", "--max-thresholds", "--out", "--curve-out"}
+        assert options == {
+            "curve": {"--q", "--out"},
+            "threshold": selecting,
+            "segment": selecting,
+            "axioms": {"--seed", "--samples"},
+        }
+
+
+class _FailingStream:
+    """A text stream whose every write fails, as a closed descriptor's does."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, "Bad file descriptor")
+
+
+class TestUnavailableStderr:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["curve", "x.pgm", "--q", "65537"],
-            ["segment", "x.pgm", "--q", "1"],
-            ["threshold", "x.pgm", "--max-thresholds", "0"],
-            ["axioms", "--seed", "-1"],
+            ["curve", "IN"],
+            ["threshold", "IN"],  # the fallback warning
+            ["segment", "IN"],  # threshold and region lines, image to stdout
+            ["axioms", "--samples", "10"],
+            ["curve", "IN", "--q", "1"],
+            ["curve", "IN.missing"],
         ],
     )
-    def test_range_errors_show_the_subcommand_usage(self, argv, capsysbinary):
-        assert cli.main(argv) == 1
-        err = capsysbinary.readouterr().err.decode()
-        assert f"\nusage: neutroseg {argv[0]} [-h]" in err
+    @pytest.mark.parametrize(
+        "stderr", [None, _FailingStream()], ids=["none", "failing"]
+    )
+    def test_diagnostics_are_dropped(
+        self, argv, stderr, two_delta_pgm, capsysbinary, monkeypatch
+    ):
+        # a process started with fd 2 closed can have sys.stderr None, and
+        # print(..., file=None) writes to stdout
+        argv = [a.replace("IN", two_delta_pgm) for a in argv]
+        rc = cli.main(argv)
+        normal = capsysbinary.readouterr()
+        assert normal.err
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert cli.main(argv) == rc
+        assert capsysbinary.readouterr().out == normal.out
 
 
 class TestModuleEntryPoint:

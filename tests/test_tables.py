@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import neutroseg.image as image_mod
+import neutroseg.imgio as imgio
 from conftest import random_image, unit_levels
 from neutroseg import (
     EmptyImage,
@@ -14,6 +15,7 @@ from neutroseg import (
     build_histogram,
     read_pgm,
     render,
+    save_pgm,
     segment,
     write_pgm,
 )
@@ -87,6 +89,18 @@ def test_level_counts_across_a_partial_chunk():
     assert np.array_equal(img.level_counts, want)
     assert img.level_counts is img.level_counts
     assert not img.level_counts.flags.writeable
+
+
+def test_level_counts_are_read_only(tmp_path):
+    # the CLI counts a P5 file's levels without holding its raster
+    img = random_image(22, 31, 17, depth=101)
+    save_pgm(tmp_path / "in.pgm", img)
+    with imgio._open_pgm(tmp_path / "in.pgm") as counted:
+        assert isinstance(counted, imgio._P5File)
+        for counts in (img.level_counts, counted.level_counts):
+            with pytest.raises(ValueError, match="read-only"):
+                counts[0] += 1
+        assert np.array_equal(counted.level_counts, img.level_counts)
 
 
 def test_depth_outside_2_to_256_is_rejected_and_levels_are_uint8():
