@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
@@ -40,22 +41,37 @@ EXIT_INVARIANT = 3
 _LOW_CONFIDENCE_SAMPLES = 1000
 
 
-class _UsageError(Exception):
-    pass
+class _ParserExit(Exception):
+    """Where argparse would exit: after ``-h`` (status 0) or a usage error."""
+
+    def __init__(self, status: int, message: Optional[str] = None):
+        super().__init__(status, message)
+        self.status = status
+        self.message = message
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A003 - argparse hook
-        raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
+        usage = self.format_usage()
+        raise _ParserExit(EXIT_USAGE, f"error: {self.prog}: {message}\n{usage}")
+
+    def exit(self, status=0, message=None):  # noqa: A003 - argparse hook
+        raise _ParserExit(status, message)
 
 
 def _int_in(lo: int, hi: Optional[int] = None) -> Callable[[str], int]:
-    """Argparse type: a decimal int from ``lo`` to ``hi`` (no bound if None)."""
+    """Argparse type: an ASCII decimal int, optionally negative, from ``lo`` to ``hi``.
+
+    ``hi`` None sets no upper bound. Other spellings that ``int()`` takes
+    (``+7``, ``1_000``, blanks, non-ASCII digits) are malformed.
+    """
 
     def parse(text: str) -> int:
         try:
+            if not re.fullmatch("-?[0-9]+", text):
+                raise ValueError
             value = int(text)
-        except ValueError:
+        except ValueError:  # malformed, or over int()'s digit limit
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be at least {lo}")
@@ -217,9 +233,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Parse ``argv`` and run one subcommand, returning the exit code."""
     try:
         args = _build_parser().parse_args(argv)
-    except _UsageError as exc:
-        _note(f"error: {exc}")
-        return EXIT_USAGE
+    except _ParserExit as exc:
+        if exc.message:
+            _note(exc.message)
+        return exc.status
     try:
         return args.run(args)
     except (NeutrosegError, OSError) as exc:

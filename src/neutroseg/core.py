@@ -14,6 +14,9 @@ elementwise; scalar input yields ``float`` results. The histogram sweep in
 matching scalar calls produce the same doubles. All are pure functions of
 their arguments, safe to call from any number of threads: they compute in
 place into temporaries of their own and never write into an argument.
+Divisions and logarithms run on every cell inside ``np.errstate(all="ignore")``;
+the cells where they are undefined are then overwritten with their limit
+values, so the caller's floating-point error state never sees them.
 """
 
 from __future__ import annotations
@@ -60,18 +63,34 @@ def dissimilarity(x: Real, y: Real) -> Real:
     return 2.0 * np.abs(x - y) / (1.0 + np.abs(x - 0.5) + np.abs(y - 0.5))
 
 
+def _share(b: Real, prod: np.ndarray, den: np.ndarray, tie: float) -> np.ndarray:
+    """(b - prod) / den, or ``tie`` wherever den > 0 fails (den <= 0 or NaN)."""
+    with np.errstate(all="ignore"):
+        won = np.subtract(b, prod, out=np.empty(den.shape))
+        won /= den
+        # the min is NaN, and fails the test, when any den is; inf when none
+        if not den.min(initial=np.inf) > 0.0:
+            won[~(den > 0.0)] = tie
+    return won
+
+
+def _rivals(a: Real, b: Real) -> tuple[np.ndarray, np.ndarray]:
+    """a*b and a + b - a*b, the terms both sides of a contest share."""
+    shape = np.broadcast(a, b).shape
+    prod = np.multiply(a, b, out=np.empty(shape))
+    den = np.add(a, b, out=np.empty(shape))
+    den -= prod
+    return prod, den
+
+
 def _contest(a: Real, b: Real, tie: float) -> Real:
     """Membership won against dissimilarity ``a`` by its rival ``b``.
 
     Returns (b - a*b) / (a + b - a*b): 1 when a == 0 < b, 0 when b == 0 < a,
     and ``tie`` at the degenerate a == b == 0.
     """
-    prod = a * b
-    den = a + b
-    den -= prod
-    tied = np.full(np.shape(den), tie)
-    # tied is 0-d for scalars; [()] turns that back into a float
-    return np.divide(b - prod, den, out=tied, where=den > 0.0)[()]
+    # [()] turns the 0-d result for scalars back into a float
+    return _share(b, *_rivals(a, b), tie)[()]
 
 
 def memberships(x: Real, v1: Real, v2: Real) -> tuple[Real, Real, Real]:
@@ -84,7 +103,11 @@ def memberships(x: Real, v1: Real, v2: Real) -> tuple[Real, Real, Real]:
     """
     d1 = dissimilarity(x, v1)
     d2 = dissimilarity(x, v2)
-    return _contest(d1, d2, 0.5), _contest(d2, d1, 0.5), np.minimum(d1, d2)
+    # truth is _contest(d1, d2, 0.5) and falsity _contest(d2, d1, 0.5): the
+    # two share one product and one denominator
+    prod, den = _rivals(d1, d2)
+    truth, falsity = (_share(d, prod, den, 0.5)[()] for d in (d2, d1))
+    return truth, falsity, np.minimum(d1, d2)
 
 
 def neutrality(x: Real, t: Real, nearer: Real) -> Real:
@@ -137,13 +160,15 @@ def escort(truth: Real, neutrality: Real, falsity: Real) -> EscortPair:
     return EscortPair(p_t[()], p_f[()])
 
 
-def _xlogx(p: Real) -> Real:
+def _xlogx(p: Real) -> np.ndarray:
     """p * ln(p), with the 0 * log(0) = 0 convention for p <= 0."""
-    live = p > 0.0
-    out = np.log(p, out=np.zeros(np.shape(p)), where=live)
-    # the multiply is masked too: unmasked, it would turn the 0.0 kept for
-    # p = nan into nan and the one for p = -0.5 into -0.0
-    return np.multiply(p, out, out=out, where=live)
+    with np.errstate(all="ignore"):
+        out = np.log(p, out=np.empty(np.shape(p)))
+        out *= p
+        # every p that fails p > 0 (zero, negative or NaN) made a NaN here
+        if not np.min(p, initial=np.inf) > 0.0:
+            out[~np.greater(p, 0.0)] = 0.0
+    return out
 
 
 def neutro_entropy(truth: Real, neutrality: Real, falsity: Real) -> Real:
@@ -156,8 +181,7 @@ def neutro_entropy(truth: Real, neutrality: Real, falsity: Real) -> Real:
     p_t, p_f = escort(truth, neutrality, falsity)
     e = _xlogx(p_t)
     e += _xlogx(p_f)
-    np.negative(e, out=e)
     e /= _LN2
-    np.clip(e, 0.0, 1.0, out=e)
-    # adding 0.0 turns the -0.0 of a certain outcome into +0.0
-    return np.add(e, 0.0, out=e)[()]
+    np.clip(e, -1.0, 0.0, out=e)
+    # 0.0 - e is -e, except that it turns the -0.0 of a certain outcome into +0.0
+    return np.subtract(0.0, e, out=e)[()]

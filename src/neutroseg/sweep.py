@@ -22,8 +22,8 @@ Each weighted mean is a ratio of column sums, weighted entropies over weights:
 every block writes the sums of its columns, and the curve divides them once
 after the last block.
 
-The grid is evaluated in blocks of consecutive candidate columns, about
-``_BLOCK_CELLS`` cells each, so the sweep's memory does not grow with ``q``
+The grid is evaluated in blocks of consecutive candidate columns, as many as
+fit in ``_BLOCK_CELLS`` cells, so the sweep's memory does not grow with ``q``
 beyond its O(q) per-candidate arrays; ``MAX_Q`` caps those. Every block is at
 least two columns wide: numpy sums a two-dimensional block's rows in order,
 but reduces a single column pairwise, which would change the curve's last
@@ -192,16 +192,19 @@ def entropy_curve(hist: Histogram) -> EntropyCurve:
     """Evaluate the entropy sweep at every candidate threshold.
 
     The occupied-bins x candidates grid is split into blocks of consecutive
-    columns of about ``_BLOCK_CELLS`` cells, never narrower than two columns
-    when there are two or more candidates: numpy adds a block's rows in
-    order, but sums a lone column pairwise, so a one-column block would
-    change the curve. With that minimum every block size gives the same bits.
+    columns: as many as fit in ``_BLOCK_CELLS`` cells, but at least two, and
+    the rest in a last block. A lone last column joins the block before it:
+    numpy adds a block's rows in order, but sums a lone column pairwise, so
+    a one-column block would change the curve. With that minimum every block
+    size gives the same bits.
 
     Candidates with the same class populations ``n1``, ``n2`` form a group
     that shares ``v1`` and ``v2``. Each block evaluates :func:`memberships`
     on one column per group it holds and expands the results with
     ``np.repeat(..., axis=1)``, which keeps them C-ordered; a fancy-indexed
-    ``m[:, idx]`` would come out F-ordered and be summed pairwise.
+    ``m[:, idx]`` would come out F-ordered and be summed pairwise. A block
+    whose groups are all one column wide, as at q = depth - 1 where every
+    level is occupied, uses the results as they are.
     """
     ks = _candidate_indices(hist)
     if ks.size == 0:
@@ -227,9 +230,13 @@ def entropy_curve(hist: Histogram) -> EntropyCurve:
     x = vals[occ][:, None]
     # weighted entropy sums and weight masses, rows T, I, F
     num, den = np.empty((3, ks.size)), np.empty((3, ks.size))
-    cells = occ.size * ks.size
-    blocks = max(1, min(ks.size // 2, -(-cells // _BLOCK_CELLS)))
-    edges = [i * ks.size // blocks for i in range(blocks + 1)]
+    # every block but the last has one width, so the temporaries one block
+    # frees fit the next block's; with two widths taking turns, the heap
+    # fragmented and a CLI run at q=4000 peaked up to 1.6 MB higher
+    width = max(2, _BLOCK_CELLS // occ.size)
+    edges = [*range(0, ks.size, width), ks.size]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
     # a group of candidates sharing n1 and n2, hence v1 and v2, starts
     # wherever either changes; memberships are evaluated at the start of
     # every group and every block, and repeated up to the next start
@@ -239,10 +246,9 @@ def entropy_curve(hist: Histogram) -> EntropyCurve:
     widths = np.diff(cols, append=ks.size)
     at = np.searchsorted(cols, edges)
     for a, b, i, j in zip(edges[:-1], edges[1:], at[:-1], at[1:]):
-        truth, falsity, nearer = (
-            np.repeat(m, widths[i:j], axis=1)
-            for m in memberships(x, v1s[cols[i:j]], v2s[cols[i:j]])
-        )
+        truth, falsity, nearer = groups = memberships(x, v1s[cols[i:j]], v2s[cols[i:j]])
+        if j - i < b - a:
+            truth, falsity, nearer = (np.repeat(m, widths[i:j], axis=1) for m in groups)
         triple = (truth, neutrality(x, ts[a:b], nearer), falsity)
         e = neutro_entropy(*triple)
         # the block owns its weights, so they are scaled in place: w * c is c * w

@@ -458,6 +458,64 @@ class TestErrorPaths:
         assert err.startswith(head)
         assert f"\nusage: neutroseg {command} [-h]" in err
 
+    # spellings int() takes that are not an optional "-" and ASCII digits
+    MALFORMED_INTS = [
+        " \u0663\u0660\u0660 ",  # Arabic-Indic 300, padded with blanks
+        "\u0663\u0660\u0660",
+        "1_000",
+        "+7",
+        " 7",
+        "7\n",
+        "7.0",
+        "",
+        "-",
+    ]
+
+    @pytest.mark.parametrize("text", MALFORMED_INTS)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "x.pgm", "--q"],
+            ["threshold", "x.pgm", "--max-thresholds"],
+            ["axioms", "--seed"],
+            ["axioms", "--samples"],
+        ],
+        ids=["q", "max-thresholds", "seed", "samples"],
+    )
+    def test_int_options_take_only_ascii_decimal(self, argv, text, capsysbinary):
+        assert cli.main([*argv, text]) == 1
+        err = capsysbinary.readouterr().err.decode()
+        head = f"error: neutroseg {argv[0]}: argument {argv[-1]}: invalid int value: "
+        assert err.startswith(f"{head}{text!r}\n")
+
+    @pytest.mark.parametrize("text, value", [("-0", 0), ("007", 7), ("12", 12)])
+    def test_int_options_read_ascii_decimal(self, text, value):
+        args = cli._build_parser().parse_args(["axioms", "--seed", text])
+        assert args.seed == value
+
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [
+            (["-h"], "usage: neutroseg [-h]"),
+            (["--help"], "usage: neutroseg [-h]"),
+            (["curve", "-h"], "usage: neutroseg curve [-h]"),
+            (["segment", "in.pgm", "--help"], "usage: neutroseg segment [-h]"),
+            (["axioms", "-h"], "usage: neutroseg axioms [-h]"),
+        ],
+    )
+    def test_help_returns_zero(self, argv, usage, capsysbinary):
+        assert cli.main(argv) == 0
+        out, err = capsysbinary.readouterr()
+        assert out.decode().startswith(usage)
+        assert err == b""
+
+    def test_entry_exits_zero_after_help(self, monkeypatch, capsysbinary):
+        monkeypatch.setattr(sys, "argv", ["neutroseg", "curve", "-h"])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 0
+        assert capsysbinary.readouterr().out.startswith(b"usage: neutroseg curve [-h]")
+
     def test_each_subcommand_declares_only_the_options_it_reads(self):
         parser = cli._build_parser()
         (sub,) = [

@@ -1,8 +1,10 @@
 """Frozen examples and sampled properties of the scalar component math."""
 
+import contextlib
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +295,61 @@ class TestSpecialValues:
         want = zip(*rows) if isinstance(rows[0], tuple) else (rows,)
         for g, w in zip(got, want):
             assert bits(g) == bits(list(w))
+
+
+class TestErrorState:
+    """Degenerate cells take their pinned values without a floating-point warning.
+
+    ``core`` divides and takes logarithms everywhere and then overwrites the
+    cells where that is undefined, inside its own ``np.errstate``: a caller's
+    error state must neither see those cells nor be changed by them.
+    """
+
+    CASES = [
+        ("_contest", (0.0, 0.0, 0.5), 0.5),
+        ("_contest", (0.0, 0.0, 1.0), 1.0),
+        ("memberships", (0.3, 0.3, 0.3), (0.5, 0.5, 0.0)),
+        ("memberships", (0.0, 0.0, 0.0), (0.5, 0.5, 0.0)),
+        ("_xlogx", (0.0,), 0.0),
+        ("_xlogx", (NAN,), 0.0),
+        ("_xlogx", (-INF,), 0.0),
+        ("_xlogx", (-0.5,), 0.0),
+        ("_xlogx", (-0.0,), 0.0),
+        ("neutro_entropy", (1, 0, 0), 0.0),
+        ("neutro_entropy", (0.0, 0.0, 1.0), 0.0),
+    ]
+
+    @staticmethod
+    def calls(name, args):
+        """The scalar call and the call on 4-element arrays (a tie stays scalar)."""
+        fn = getattr(core, name)
+        columns = [np.full(4, a, dtype=np.float64) for a in args]
+        if name == "_contest":
+            columns[2] = args[2]
+        return fn(*args), fn(*columns)
+
+    @pytest.mark.parametrize("raising", [False, True], ids=["default", "raise"])
+    @pytest.mark.parametrize("name, args, want", CASES)
+    def test_pinned_without_warning(self, name, args, want, raising):
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise") if raising else contextlib.nullcontext():
+                inside = np.geterr()
+                scalar, array = self.calls(name, args)
+                assert np.geterr() == inside
+        assert np.geterr() == before
+        assert bits(scalar) == bits(want)
+        want_array = np.repeat(np.asarray(want, dtype=np.float64)[..., None], 4, -1)
+        assert bits(array) == bits(want_array)
+
+    @pytest.mark.parametrize("name", GRID_DIGESTS)
+    def test_empty_arrays_give_empty_results(self, name):
+        # the fast-path test takes a min, which must not reject an empty array
+        fn = core_function(name)
+        got = fn(*[np.empty((0, 3))] * fn.__code__.co_argcount)
+        for g in got if isinstance(got, tuple) else (got,):
+            assert g.shape == (0, 3)
 
 
 class TestArgumentsUntouched:

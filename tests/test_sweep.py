@@ -286,6 +286,29 @@ class TestBlockedSweep:
         assert curve.e_i[0] == pytest.approx(e_i, abs=TOL)
         assert curve.e_f[0] == pytest.approx(e_f, abs=TOL)
 
+    def test_blocks_with_and_without_repeat_match_scalar_reference(self, monkeypatch):
+        # levels 0..47 all occupied, so every group there is one column wide
+        # and memberships are used as they are; above them every 16th level,
+        # so groups are 16 columns wide and memberships are repeated
+        levels = np.r_[np.arange(48), np.arange(48, 256, 16)]
+        image = GrayImage(width=levels.size, height=1, levels=levels, depth=256)
+        hist = build_histogram(image, q=255)
+        groups = []
+        memberships = sweep.memberships
+
+        def spy(x, v1, v2):
+            groups.append(v1.size)
+            return memberships(x, v1, v2)
+
+        monkeypatch.setattr(sweep, "memberships", spy)
+        curve, widths = self.blocked_curve(monkeypatch, hist, 8 * levels.size)
+        assert len(groups) == len(widths) > 2
+        assert any(g == w for g, w in zip(groups, widths))
+        assert any(g < w for g, w in zip(groups, widths))
+        for j, t in enumerate(curve.t):
+            want = partial_entropies(hist, float(t))
+            assert (curve.e_t[j], curve.e_i[j], curve.e_f[j]) == want, t
+
     def test_peak_memory_does_not_grow_with_q(self):
         hist = build_histogram(random_image(8, 256, 256), q=16000)
         tracemalloc.start()
