@@ -9,6 +9,7 @@ come in order from the one generator the suite is given. The suite backs the
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -106,23 +107,32 @@ def _precondition_pairs(
     """Rejection-sample triple pairs satisfying the monotonicity precondition.
 
     Candidates come in batches of ``_BLOCK`` pairs until ``samples`` are kept.
+    One ``rng.random`` call fills each (2, ``_BLOCK``, 3) batch in C order, so
+    it draws what ``a = rng.random((_BLOCK, 3))`` and then
+    ``b = rng.random((_BLOCK, 3))`` would, ``a`` giving the left triples. Kept
+    pairs beyond ``samples`` are dropped with the rest of their batch, so each
+    call leaves the generator after whole batches.
     """
-    left = np.empty((samples, 3))
-    right = np.empty((samples, 3))
+    ab = np.empty((2, _BLOCK, 3))
+    spread = np.empty((2, _BLOCK))  # |x0 - x2|: sharpness
+    tilt = np.empty((2, _BLOCK))  # |x0 + x2 - 1|: distance from balance
+    keep = np.empty(_BLOCK, dtype=bool)
+    test = np.empty(_BLOCK, dtype=bool)
+    both = np.empty((2, samples, 3))
     got = 0
     while got < samples:
-        a = rng.random((_BLOCK, 3))
-        b = rng.random((_BLOCK, 3))
-        keep = (
-            (np.abs(a[:, 0] - a[:, 2]) >= np.abs(b[:, 0] - b[:, 2]))
-            & (np.abs(a[:, 0] + a[:, 2] - 1.0) <= np.abs(b[:, 0] + b[:, 2] - 1.0))
-            & (a[:, 1] <= b[:, 1])
-        )
-        take = min(samples - got, int(keep.sum()))
-        left[got : got + take] = a[keep][:take]
-        right[got : got + take] = b[keep][:take]
-        got += take
-    return left, right
+        rng.random(out=ab)
+        x0, x1, x2 = ab[..., 0], ab[..., 1], ab[..., 2]
+        np.abs(np.subtract(x0, x2, out=spread), out=spread)
+        np.add(x0, x2, out=tilt)
+        np.abs(np.subtract(tilt, 1.0, out=tilt), out=tilt)
+        np.greater_equal(spread[0], spread[1], out=keep)
+        keep &= np.less_equal(tilt[0], tilt[1], out=test)
+        keep &= np.less_equal(x1[0], x1[1], out=test)
+        kept = np.flatnonzero(keep)[: samples - got]
+        np.take(ab, kept, axis=1, out=both[:, got : got + kept.size])
+        got += kept.size
+    return both[0], both[1]
 
 
 def _monotonicity(rng: np.random.Generator, samples: int, tol: float) -> AxiomCheck:
@@ -151,7 +161,8 @@ def _escort_normalization(
 
 def _no_contradiction(rng: np.random.Generator, samples: int, tol: float) -> AxiomCheck:
     def deviations(n: int) -> np.ndarray:
-        triple = neutro_components(*rng.random((n, 4)).T)
+        # contiguous columns: the strided ones cost more than this copy
+        triple = neutro_components(*np.ascontiguousarray(rng.random((n, 4)).T))
         return bifuzzy(triple.truth, triple.falsity).contradiction
 
     return _check(
@@ -163,6 +174,13 @@ def _no_contradiction(rng: np.random.Generator, samples: int, tol: float) -> Axi
     )
 
 
+def _integer(name: str, value: object) -> int:
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def run_axiom_checks(
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
@@ -171,8 +189,12 @@ def run_axiom_checks(
     """Run the six property checks with a seeded sample set.
 
     The corner and symmetry checks demand exact equality; the rest allow
-    ``tolerance``. Identical arguments produce identical results.
+    ``tolerance``. Identical arguments produce identical results, so
+    ``samples`` and ``seed`` must be integers: a float, ``None`` or any other
+    non-integer raises ``ValueError``, and a numpy integer or a bool is taken
+    as the ``int`` it stands for.
     """
+    samples, seed = _integer("samples", samples), _integer("seed", seed)
     if samples < 1:
         raise ValueError("samples must be positive")
     rng = np.random.default_rng(seed)

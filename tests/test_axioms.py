@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import neutroseg as ns
-from neutroseg.axioms import _BLOCK, _check
+from neutroseg.axioms import _BLOCK, _check, _precondition_pairs
 
 EXACT = ("certainty-corners", "truth-falsity-symmetry")
 
@@ -83,3 +83,73 @@ def test_worst_deviations_pinned():
     }
     checks = ns.run_axiom_checks(10_000, seed=7)
     assert {c.name: c.worst.hex() for c in checks} == want
+
+
+def test_worst_deviations_pinned_at_benchmark_size():
+    # recorded at commit 0b35aa9 with the sample count and seed of the
+    # benchmark's axioms workload: 25 blocks, against the 3 pinned above
+    want = {
+        "certainty-corners": "0x0.0p+0",
+        "balanced-entropy": "0x1.0000000000000p-53",
+        "truth-falsity-symmetry": "0x0.0p+0",
+        "uncertainty-monotonicity": "-0x1.9d0bea0000000p-26",
+        "escort-normalization": "0x1.0000000000000p-51",
+        "no-contradiction": "0x0.0p+0",
+    }
+    checks = ns.run_axiom_checks(100_000, seed=301)
+    assert {c.name: c.worst.hex() for c in checks} == want
+
+
+def _two_draw_pairs(rng, samples):
+    """The rejection loop as of commit 0b35aa9: two draws per batch."""
+    left = np.empty((samples, 3))
+    right = np.empty((samples, 3))
+    got = 0
+    while got < samples:
+        a = rng.random((_BLOCK, 3))
+        b = rng.random((_BLOCK, 3))
+        keep = (
+            (np.abs(a[:, 0] - a[:, 2]) >= np.abs(b[:, 0] - b[:, 2]))
+            & (np.abs(a[:, 0] + a[:, 2] - 1.0) <= np.abs(b[:, 0] + b[:, 2] - 1.0))
+            & (a[:, 1] <= b[:, 1])
+        )
+        take = min(samples - got, int(keep.sum()))
+        left[got : got + take] = a[keep][:take]
+        right[got : got + take] = b[keep][:take]
+        got += take
+    return left, right
+
+
+@pytest.mark.parametrize("seed", [0, 7, 301])
+@pytest.mark.parametrize(
+    "samples", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
+)
+def test_precondition_pairs_keep_the_two_draw_stream(seed, samples):
+    # two calls on one generator, as the suite makes one per block: a kept
+    # pair carried from one call into the next would show in the second
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(2):
+        got, want = _precondition_pairs(rng, samples), _two_draw_pairs(ref, samples)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    next_raw = rng.bit_generator.random_raw(4)
+    assert np.array_equal(next_raw, ref.bit_generator.random_raw(4))
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"seed": None}, "seed"),
+        ({"seed": 7.0}, "seed"),
+        ({"samples": 2.0}, "samples"),
+        ({"samples": "100"}, "samples"),
+    ],
+)
+def test_non_integer_arguments_raise_value_error(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        ns.run_axiom_checks(**kwargs)
+
+
+def test_integer_arguments_are_taken_as_int():
+    checks = ns.run_axiom_checks(samples=True, seed=np.int64(7))
+    assert [type(c.samples) for c in checks[1:]] == [int] * 5
+    assert checks == ns.run_axiom_checks(samples=1, seed=7)
