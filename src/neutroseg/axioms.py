@@ -9,6 +9,7 @@ come in order from the one generator the suite is given. The suite backs the
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -181,6 +182,16 @@ def _integer(name: str, value: object) -> int:
         raise ValueError(f"{name}: {exc}") from None
 
 
+def _tolerance(value: object) -> float:
+    if not isinstance(value, numbers.Real):
+        kind = type(value).__name__
+        raise ValueError(f"tolerance: {kind!r} object is not a real number")
+    tol = float(value)
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance must be at least 0, got {tol!r}")
+    return tol
+
+
 def run_axiom_checks(
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
@@ -192,9 +203,12 @@ def run_axiom_checks(
     ``tolerance``. Identical arguments produce identical results, so
     ``samples`` and ``seed`` must be integers: a float, ``None`` or any other
     non-integer raises ``ValueError``, and a numpy integer or a bool is taken
-    as the ``int`` it stands for.
+    as the ``int`` it stands for. ``tolerance`` must be a real number, neither
+    NaN nor negative, and is taken as a ``float``; anything else raises
+    ``ValueError``. Every argument is checked before any sample is drawn.
     """
     samples, seed = _integer("samples", samples), _integer("seed", seed)
+    tolerance = _tolerance(tolerance)
     if samples < 1:
         raise ValueError("samples must be positive")
     rng = np.random.default_rng(seed)

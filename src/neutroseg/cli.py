@@ -183,7 +183,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
     with imgio._open_pgm(args.input) as image:
         curve = _image_curve(args, image)
     _note(f"candidates: {len(curve)}")
-    _emit(args.out, [imgio.write_curve(curve)])
+    # streamed a block of rows at a time, never held as one text
+    _emit(args.out, imgio._curve_parts(curve))
     return EXIT_OK
 
 

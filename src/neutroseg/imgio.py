@@ -31,6 +31,12 @@ PathLike = Union[str, os.PathLike]
 
 CURVE_HEADER = "t,e_T,e_I,e_F,E"
 
+# one curve row: five fields of 12 significant digits, LF-terminated
+_CURVE_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g\n"
+
+# rows per block of curve text; a block of 256 rows is about 20 KB
+_CURVE_ROWS = 256
+
 _MAX_MAXVAL = 255
 
 # a header field: whitespace and comments, then bytes up to whitespace or #
@@ -366,18 +372,40 @@ def save_pgm(path: PathLike, image: GrayImage) -> None:
         fh.writelines(pgm_parts(image))
 
 
-def write_curve(curve: EntropyCurve) -> bytes:
-    """Render a curve as UTF-8 text, one comma-separated row per threshold."""
+def _curve_parts(curve: EntropyCurve) -> Iterator[bytes]:
+    """The curve text, encoded: the header line, then blocks of ``_CURVE_ROWS`` rows.
+
+    Each block is formatted from its own slice of the columns, so a writer
+    that takes one part at a time holds one block of text, never the whole.
+    """
+    yield f"{CURVE_HEADER}\n".encode("utf-8")
     cols = (curve.t, curve.e_t, curve.e_i, curve.e_f, curve.total)
-    row = "%.12g,%.12g,%.12g,%.12g,%.12g".__mod__
-    lines = [CURVE_HEADER, *map(row, zip(*(c.tolist() for c in cols)))]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    for a in range(0, len(curve), _CURVE_ROWS):
+        block = np.column_stack([col[a : a + _CURVE_ROWS] for col in cols])
+        # one % per block, on the row format repeated once per row
+        text = (_CURVE_ROW * len(block)) % tuple(block.ravel().tolist())
+        yield text.encode("utf-8")
+
+
+def write_curve(curve: EntropyCurve) -> bytes:
+    """Render a curve as UTF-8 text, one comma-separated row per threshold.
+
+    The result joins the parts :func:`save_curve` writes, so the two give
+    the same bytes; this one holds the whole text at once.
+    """
+    return b"".join(_curve_parts(curve))
 
 
 def save_curve(path: PathLike, curve: EntropyCurve) -> None:
-    """Write ``curve`` to ``path`` with LF line endings."""
+    """Write ``curve`` to ``path`` with LF line endings.
+
+    The text is formatted and written a block of ``_CURVE_ROWS`` rows at a
+    time; a block's text is released when the next block's replaces it, so
+    the whole text is never held. A failure part way leaves the rows
+    written so far in the file.
+    """
     with open(path, "wb") as fh:
-        fh.write(write_curve(curve))
+        fh.writelines(_curve_parts(curve))
 
 
 def parse_curve(data: bytes) -> CurveColumns:

@@ -153,3 +153,34 @@ def test_integer_arguments_are_taken_as_int():
     checks = ns.run_axiom_checks(samples=True, seed=np.int64(7))
     assert [type(c.samples) for c in checks[1:]] == [int] * 5
     assert checks == ns.run_axiom_checks(samples=1, seed=7)
+
+
+@pytest.mark.parametrize("tolerance", [None, "1e-12", b"0", 1j, np.array([1e-12])])
+def test_non_number_tolerance_raises_value_error(tolerance):
+    with pytest.raises(ValueError, match="^tolerance: .* is not a real number$"):
+        ns.run_axiom_checks(samples=10, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), np.nan, -1e-12, -1, -np.inf])
+def test_nan_or_negative_tolerance_raises_value_error(tolerance):
+    with pytest.raises(ValueError, match="^tolerance must be at least 0, got "):
+        ns.run_axiom_checks(samples=10, tolerance=tolerance)
+
+
+def test_tolerance_is_checked_before_any_draw(monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match="^tolerance"):
+        ns.run_axiom_checks(samples=10**9, tolerance=None)
+
+
+def test_real_tolerances_are_taken_as_float():
+    checks = ns.run_axiom_checks(samples=100, tolerance=np.float32(0.5))
+    assert [c.tolerance for c in checks] == [0.0, 0.5, 0.0, 0.5, 0.5, 0.5]
+    assert [type(c.tolerance) for c in checks] == [float] * 6
+    assert checks == ns.run_axiom_checks(samples=100, tolerance=0.5)
+    assert ns.run_axiom_checks(samples=100, tolerance=0) == ns.run_axiom_checks(
+        samples=100, tolerance=0.0
+    )

@@ -7,12 +7,13 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import image_from_unit, mixture_image
+from conftest import image_from_unit, mixture_image, random_image
 import neutroseg
 from neutroseg import (
     AxiomCheck,
@@ -79,6 +80,30 @@ class TestCurveCommand:
         first = capsysbinary.readouterr().out
         assert cli.main(["curve", bimodal_pgm]) == 0
         assert capsysbinary.readouterr().out == first
+
+    def test_curve_text_is_streamed_at_the_largest_grid(self, tmp_path):
+        path = tmp_path / "random.pgm"
+        save_pgm(path, random_image(8, 256, 256))
+        runs = {
+            "threshold": ["threshold", "--out", "t.txt"],
+            "curve": ["curve", "--out", "curve.txt"],
+            "curve-out": ["threshold", "--out", "t.txt", "--curve-out", "side.txt"],
+        }
+        peaks = {}
+        for name, (command, *options) in runs.items():
+            argv = [command, str(path), "--q", "65536"]
+            argv += [str(tmp_path / arg) if ".txt" in arg else arg for arg in options]
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        text = (tmp_path / "curve.txt").read_bytes()
+        assert text == (tmp_path / "side.txt").read_bytes()
+        # writing the whole text at once added 18 MiB to the sweep's peak
+        assert peaks["curve"] < peaks["threshold"] + 2**20
+        assert peaks["curve-out"] < peaks["threshold"] + 2**20
 
 
 class TestThresholdCommand:

@@ -21,13 +21,14 @@ from neutroseg import (
     entropy_curve,
     parse_curve,
     read_pgm,
+    save_curve,
     save_pgm,
     write_curve,
     write_pgm,
 )
 from neutroseg import imgio
 from neutroseg.imgio import CURVE_HEADER
-from neutroseg.sweep import EntropyCurve
+from neutroseg.sweep import MAX_Q, EntropyCurve
 
 
 class TestReadPgm:
@@ -480,6 +481,31 @@ class TestCurveFormat:
         want = [CURVE_HEADER]
         want += [",".join(f"{v:.12g}" for v in row) for row in zip(*cols)]
         assert write_curve(curve) == ("\n".join(want) + "\n").encode()
+
+    @pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 600])
+    def test_text_comes_in_blocks_of_rows(self, rows):
+        cols = np.linspace(0.0, 1.0, 5 * rows).reshape(5, rows)
+        curve = EntropyCurve(rows + 1, *cols)
+        parts = list(imgio._curve_parts(curve))
+        assert parts[0] == b"t,e_T,e_I,e_F,E\n"
+        lines = [part.count(b"\n") for part in parts[1:]]
+        assert lines == [256] * (rows // 256) + [rows % 256] * (rows % 256 > 0)
+        want = [CURVE_HEADER, *(",".join(f"{v:.12g}" for v in r) for r in zip(*cols))]
+        want = ("\n".join(want) + "\n").encode()
+        assert b"".join(parts) == write_curve(curve) == want
+
+    def test_save_curve_holds_one_block_of_text(self, tmp_path):
+        curve = entropy_curve(build_histogram(random_image(8, 256, 256), q=MAX_Q))
+        path = tmp_path / "curve.txt"
+        tracemalloc.start()
+        try:
+            save_curve(path, curve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == write_curve(curve)
+        # 0.1 MiB; the whole text formatted before the write peaked at 18.2 MiB
+        assert peak < 2**20
 
     def test_parse_rejects_bad_input(self):
         with pytest.raises(ValueError):

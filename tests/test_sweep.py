@@ -318,8 +318,56 @@ class TestBlockedSweep:
         finally:
             tracemalloc.stop()
         assert len(curve) == 15999
-        # the whole 256 x 15999 grid evaluated at once peaked at 287 MB
-        assert peak < 16 * 2**20
+        # the whole 256 x 15999 grid evaluated at once peaked at 287 MB; with
+        # the prefix sums and each block's nearer-mean distance alive
+        # through the block loop the sweep peaked at 3.77 MiB, against 2.65
+        assert peak < 3.25 * 2**20
+
+    def test_at_most_two_blocks_are_alive(self, monkeypatch):
+        hist = build_histogram(random_image(8, 256, 256), q=4000)
+        memberships, entropy = sweep.memberships, sweep.neutro_entropy
+        # traced bytes at each block's start, and above it when the entropy
+        # is formed, with the bytes of one (rows x width) array
+        starts, held = [], []
+
+        def memberships_spy(x, v1, v2):
+            starts.append(tracemalloc.get_traced_memory()[0])
+            return memberships(x, v1, v2)
+
+        def entropy_spy(*triple):
+            extra = tracemalloc.get_traced_memory()[0] - starts[-1]
+            held.append((extra, triple[0].nbytes))
+            return entropy(*triple)
+
+        monkeypatch.setattr(sweep, "memberships", memberships_spy)
+        monkeypatch.setattr(sweep, "neutro_entropy", entropy_spy)
+        tracemalloc.start()
+        try:
+            entropy_curve(hist)
+        finally:
+            tracemalloc.stop()
+        assert len(starts) == len(held) > 2
+        nbytes = held[0][1]
+        # each array of a block is 128 KiB. A block starts with only the
+        # last block's weights and entropy alive, not its nearer-mean
+        # distance too (five arrays), nor any block before it; when it forms
+        # its entropy it holds no more than its truth, neutrality and
+        # falsity above what it started with
+        assert max(starts) - starts[0] < 4 * nbytes + 2**14
+        assert all(extra < 3 * nbytes + 2**14 for extra, _ in held)
+
+    def test_peak_memory_at_the_largest_grid(self):
+        hist = build_histogram(random_image(8, 256, 256), q=sweep.MAX_Q)
+        tracemalloc.start()
+        try:
+            curve = entropy_curve(hist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(curve) == hist.occupied()[-1] - hist.occupied()[0] - 1
+        # 7.1 MiB, most of it the per-candidate columns; 11.8 MiB with the
+        # prefix sums alive through the block loop
+        assert peak < 8 * 2**20
 
 
 def per_cell_curve(hist):
