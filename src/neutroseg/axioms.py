@@ -10,13 +10,13 @@ come in order from the one generator the suite is given. The suite backs the
 from __future__ import annotations
 
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .core import bifuzzy, escort, neutro_components, neutro_entropy
+from .errors import _integer
 
 DEFAULT_SAMPLES = 10_000
 DEFAULT_TOLERANCE = 1e-12
@@ -173,13 +173,6 @@ def _no_contradiction(rng: np.random.Generator, samples: int, tol: float) -> Axi
         tol,
         deviations,
     )
-
-
-def _integer(name: str, value: object) -> int:
-    try:
-        return operator.index(value)
-    except TypeError as exc:
-        raise ValueError(f"{name}: {exc}") from None
 
 
 def _tolerance(value: object) -> float:

@@ -1,4 +1,19 @@
-"""Exception types raised by the segmentation pipeline."""
+"""Exception types raised by the segmentation pipeline, and the one check
+that turns a non-integer argument into a ``ValueError`` naming it."""
+
+import operator
+
+
+def _integer(name: str, value: object) -> int:
+    """``value`` as an ``int``, or ``ValueError`` naming the argument ``name``.
+
+    A numpy integer or a bool is taken as the ``int`` it stands for; a
+    float, ``None``, a string or any other non-integer is refused.
+    """
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 class NeutrosegError(Exception):

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
+
+from .errors import _integer
 
 # pixels per pass of every per-pixel loop: a bincount of the levels, a
 # gather of their table entries (bincount and take convert their indices to
@@ -44,10 +45,7 @@ class GrayImage:
 
     def __post_init__(self):
         for name in ("width", "height", "depth"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError as exc:
-                raise ValueError(f"{name}: {exc}") from None
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         levels = np.asarray(self.levels)
         if not np.issubdtype(levels.dtype, np.integer):
             raise ValueError("levels must be an integer array")

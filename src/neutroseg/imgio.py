@@ -1,9 +1,10 @@
 """PGM codecs and the entropy-curve text format.
 
-Both the ASCII (P2) and binary (P5) PGM flavors are decoded; emission is
-always binary. Only 8-bit files are in scope, so maxval may not exceed
-255. Curves are exchanged as comma-separated text with a fixed header line
-and one row per candidate threshold, 12 significant digits per value.
+Both the ASCII (P2) and binary (P5) PGM flavors are decoded, a P2 raster
+by :mod:`neutroseg.plain`; emission is always binary. Only 8-bit files are
+in scope, so maxval may not exceed 255. Curves are exchanged as
+comma-separated text with a fixed header line and one row per candidate
+threshold, 12 significant digits per value.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
     TruncatedData,
 )
 from . import image as image_mod
+from . import plain
 from .image import GrayImage, _count_levels, _lookup_chunks
 from .sweep import EntropyCurve
 
@@ -41,31 +43,6 @@ _MAX_MAXVAL = 255
 
 # a header field: whitespace and comments, then bytes up to whitespace or #
 _FIELD = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
-
-# a comment runs from any # to the end of its line, in a raster too
-_COMMENT = re.compile(rb"#[^\r\n]*")
-
-# the bytes of a valid P2 raster once comments are blanked: decimal digits
-# and the six bytes that bytes.isspace (and the regex \s) accepts
-_PLAIN_RASTER = b"0123456789 \t\n\r\x0b\x0c"
-
-# the first raster token that holds a byte _PLAIN_RASTER lacks
-_BAD_SAMPLE = re.compile(rb"(?<!\S)\S*?[^\d\s]\S*")
-
-# a whitespace byte, where a chunk of a P2 raster may end
-_SPACE = re.compile(rb"\s")
-
-# a line ending, where a comment ends
-_EOL = re.compile(rb"[\r\n]")
-
-# bytes per chunk of a P2 raster: the decoder's temporaries (a few bytes
-# per raster byte) scale with it, not with the image. On a 2048^2 P2 file
-# of 14.3 MiB (2-core x86 host), read_pgm took 97 ms at 2^15, 78 ms at 2^16
-# and 72-76 ms from 2^17 to 2^20, against 221 ms reading the whole raster
-# with np.fromstring (medians of 9 interleaved rounds); 2^17 is the
-# smallest size on the flat part. Its tracemalloc peak was 5.0 MiB, 4.0 of
-# them the levels, against 60.5 MiB.
-_P2_CHUNK = 1 << 17
 
 
 class CurveColumns(NamedTuple):
@@ -128,12 +105,6 @@ def _p5_start(data: bytes, pos: int, size: int, count: int) -> int:
     return start
 
 
-def _out_of_range(lo: int, hi: int, maxval: int) -> SampleOutOfRange:
-    return SampleOutOfRange(
-        f"sample values span [{lo}, {hi}], allowed [0, {maxval}]"
-    )
-
-
 def _header_int(token: bytes, what: str) -> int:
     if token.isdigit():
         try:
@@ -143,114 +114,15 @@ def _header_int(token: bytes, what: str) -> int:
     raise PgmError(f"malformed {what} field {token!r}")
 
 
-def _p2_levels(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
-    """The first ``count`` samples of the P2 raster at ``data[pos:]``.
-
-    Returns them as ``uint8`` levels, each checked against ``maxval``.
-    """
-    # a raster of n bytes holds at most (n + 1) // 2 samples, so a short
-    # one is read into no more than that before it is reported
-    out = np.empty(min(count, (len(data) - pos + 1) // 2), dtype=np.uint8)
-    filled, lo, hi = 0, np.iinfo(np.int64).max, 0
-    bad = None
-    # every chunk starts at a whitespace byte or a comment and, but for the
-    # last one, ends with the whitespace byte outside any comment that the
-    # next chunk starts at
-    while filled < out.size and pos < len(data) and not bad:
-        end = _chunk_end(data, pos)
-        chunk, pos = data[pos : end + 1], end
-        # the translate check is cheap; the regexes run only when it fires
-        odd = chunk.translate(None, _PLAIN_RASTER)
-        if b"#" in odd:
-            chunk = _COMMENT.sub(b" ", chunk)
-            odd = chunk.translate(None, _PLAIN_RASTER)
-        bad = odd and _BAD_SAMPLE.search(chunk)
-        if bad:
-            chunk = chunk[: bad.start()]
-        samples = _chunk_samples(chunk, out.size - filled)
-        if samples.size:
-            out[filled : filled + samples.size] = samples
-            filled += samples.size
-            lo = min(lo, int(samples.min()))
-            hi = max(hi, int(samples.max()))
-    if filled < count:
-        if bad:
-            raise PgmError(f"malformed sample field {bad[0]!r}")
-        raise TruncatedData(f"raster holds {filled} samples, expected {count}")
-    if hi > maxval:
-        # a sample too large for int64 is read as its maximum, which the
-        # file does not hold
-        if hi == np.iinfo(np.int64).max:
-            raise SampleOutOfRange(f"a sample exceeds maxval {maxval}")
-        raise _out_of_range(lo, hi, maxval)
-    return out
-
-
-def _chunk_end(data: bytes, pos: int) -> int:
-    """Where the P2 raster chunk that starts at ``pos`` ends.
-
-    That is the first whitespace byte ``_P2_CHUNK`` bytes on, or the line
-    ending of the comment that byte lies in, or the end of ``data``.
-    """
-    space = _SPACE.search(data, pos + _P2_CHUNK)
-    if not space:
-        return len(data)
-    end = space.start()
-    # a chunk never starts inside a comment, so a # in it with no line
-    # ending after it starts the comment that holds end
-    hash_ = data.rfind(b"#", pos, end)
-    if hash_ >= 0 and not _EOL.search(data, hash_, end):
-        eol = _EOL.search(data, end)
-        return eol.start() if eol else len(data)
-    return end
-
-
-def _chunk_samples(chunk: bytes, limit: int) -> np.ndarray:
-    """The first ``limit`` samples of a chunk of digits and whitespace.
-
-    The chunk starts with a whitespace byte. A sample of up to three digits
-    is ``d[e] + 10*d[e-1] + 100*d[e-2]`` at its last digit ``e``, each term
-    counted only when its byte is a digit of the same token. A chunk holding
-    a longer token (leading zeros, or a value above 999) is read exactly.
-    """
-    u = np.frombuffer(chunk, dtype=np.uint8)
-    digit = u >= 0x30
-    ends = np.flatnonzero(digit[:-1] > digit[1:])
-    if digit[-1:].any():
-        ends = np.append(ends, u.size - 1)
-    ends = ends[:limit]
-    if not ends.size:
-        return ends
-    ones = np.take(u, ends)
-    # ends >= 1, since u[0] is blank; index -1 is read only when u[0] is
-    # the tens byte, so its hundreds term never counts
-    tens = np.take(u, ends - 1)
-    hundreds = np.take(u, ends - 2)
-    has_tens = tens >= 0x30
-    has_hundreds = has_tens & (hundreds >= 0x30)
-    # the digits these samples hold if none has more than three
-    short = ends.size + np.count_nonzero(has_tens) + np.count_nonzero(has_hundreds)
-    if np.count_nonzero(digit[: ends[-1] + 1]) > short:
-        return np.fromstring(chunk, dtype=np.int64, count=ends.size, sep=" ")
-    ones -= 0x30
-    tens -= 0x30
-    tens *= has_tens.view(np.uint8)
-    hundreds -= 0x30
-    hundreds *= has_hundreds.view(np.uint8)
-    samples = hundreds.astype(np.uint16)
-    samples *= 10
-    samples += tens
-    samples *= 10
-    samples += ones
-    return samples
-
-
 def read_pgm(data: bytes) -> GrayImage:
     """Decode PGM bytes (P2 or P5) into a gray image of depth maxval + 1."""
     magic, width, height, maxval, pos = _header(data)
     count = width * height
     if magic == b"P2":
-        levels = _p2_levels(data, pos, count, maxval)
+        # slices as long as a file's reads, cut again by the decoder as those are
+        step = plain._P2_CHUNK
+        chunks = (data[i : i + step] for i in range(pos, len(data), step))
+        levels = plain._p2_levels(chunks, len(data) - pos, count, maxval)
     else:
         start = _p5_start(data, pos, len(data), count)
         levels = np.frombuffer(data, dtype=np.uint8, count=count, offset=start)
@@ -281,7 +153,7 @@ class _P5File:
         counts = _count_levels(self._chunks())
         occupied = np.flatnonzero(counts)
         if occupied.size and occupied[-1] > maxval:
-            raise _out_of_range(int(occupied[0]), int(occupied[-1]), maxval)
+            raise plain._out_of_range(int(occupied[0]), int(occupied[-1]), maxval)
         self.level_counts = counts[: self.depth]
         self.level_counts.flags.writeable = False
 
@@ -311,14 +183,59 @@ class _P5File:
 
 def _p5_header(fh) -> tuple[int, int, int, int]:
     """Width, height, maxval and raster offset of the P5 file ``fh``, checked."""
+    head = _head(fh)
+    _, width, height, maxval, pos = _header(head)
+    size = os.fstat(fh.fileno()).st_size
+    return width, height, maxval, _p5_start(head, pos, size, width * height)
+
+
+def _head(fh) -> bytes:
+    """The start of the file ``fh``, up to past its maxval or its end."""
     fh.seek(0)
     head = fh.read(image_mod._CHUNK)
     # maxval ends before the end of what was read, or at the file's end
     while _fields(head)[1] == len(head) and (more := fh.read(len(head))):
         head += more
-    _, width, height, maxval, pos = _header(head)
-    size = os.fstat(fh.fileno()).st_size
-    return width, height, maxval, _p5_start(head, pos, size, width * height)
+    return head
+
+
+def _p2_file(fh) -> GrayImage:
+    """The P2 file ``fh``, its raster read in chunks into one reused buffer.
+
+    The header is parsed and checked as :func:`read_pgm` does, and the
+    raster decoded by the same decoder, so every fault gets the same class
+    and message. Reading stops once the last sample is decoded.
+    """
+    _, width, height, maxval, pos = _header(_head(fh))
+    size = max(os.fstat(fh.fileno()).st_size - pos, 0)
+    fh.seek(pos)
+
+    def chunks() -> Iterator[bytearray]:
+        buf = bytearray(min(plain._P2_CHUNK, size))
+        while n := fh.readinto(buf):
+            del buf[n:]  # a short read only at the end of the file
+            yield buf
+
+    levels = plain._p2_levels(chunks(), size, width * height, maxval)
+    return GrayImage(width=width, height=height, levels=levels, depth=maxval + 1)
+
+
+def _read_file(fh, stream_p5: bool) -> Union[GrayImage, _P5File]:
+    """The PGM file ``fh`` is open on.
+
+    A P2 regular file is streamed through :func:`_p2_file`, and a P5 one
+    left in the file as a :class:`_P5File` if ``stream_p5`` is set. Any
+    other input is read whole and decoded by :func:`read_pgm`, so a short
+    raster is reported before anything of the header's size is allocated.
+    """
+    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        magic = fh.read(2)
+        if magic == b"P2":
+            return _p2_file(fh)
+        if magic == b"P5" and stream_p5:
+            return _P5File(fh)
+        fh.seek(0)
+    return read_pgm(fh.read())
 
 
 @contextmanager
@@ -326,17 +243,13 @@ def _open_pgm(path: PathLike, whole: bool = False) -> Iterator:
     """The PGM file at ``path``, as the CLI reads it.
 
     A P5 regular file is a :class:`_P5File` over the open file, unless
-    ``whole`` is set; any other input is decoded whole by :func:`read_pgm`.
+    ``whole`` is set; a P2 regular file is streamed, and any other input
+    read whole (see :func:`_read_file`).
     """
     # unbuffered: a buffer filled by the magic read would be copied again
     # when a whole file is read after it
     with open(path, "rb", buffering=0) as fh:
-        if not whole and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            if fh.read(2) == b"P5":
-                yield _P5File(fh)
-                return
-            fh.seek(0)
-        yield read_pgm(fh.read())
+        yield _read_file(fh, stream_p5=not whole)
 
 
 def pgm_parts(image: GrayImage) -> tuple[bytes, memoryview]:
@@ -361,9 +274,9 @@ def write_pgm(image: GrayImage) -> bytes:
 
 
 def load_pgm(path: PathLike) -> GrayImage:
-    """Read a PGM file from ``path``."""
-    with open(path, "rb") as fh:
-        return read_pgm(fh.read())
+    """Read a PGM file from ``path``; a P2 regular file is read in chunks."""
+    with open(path, "rb", buffering=0) as fh:
+        return _read_file(fh, stream_p5=False)
 
 
 def save_pgm(path: PathLike, image: GrayImage) -> None:

@@ -37,7 +37,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import memberships, neutrality, neutro_components, neutro_entropy
-from .errors import ConstantImage, EmptyImage, NoCandidates, ThresholdOutOfRange
+from .errors import (
+    ConstantImage,
+    EmptyImage,
+    NoCandidates,
+    ThresholdOutOfRange,
+    _integer,
+)
 from .image import GrayImage
 
 # weight mass below this yields a zero partial entropy
@@ -110,9 +116,11 @@ def build_histogram(image: GrayImage, q: int = 255) -> Histogram:
     """Histogram of ``image`` quantized to the grid {0, 1/q, ..., 1}.
 
     A pixel with integer level L lands in bin round(L * q / (depth - 1)),
-    rounding halves away from zero. ``q`` runs from 2 to ``MAX_Q``. Only the
+    rounding halves away from zero. ``q`` is an integer from 2 to ``MAX_Q``,
+    stored as an ``int``; a non-integer raises ``ValueError``. Only the
     image's ``depth``, ``pixel_count`` and ``level_counts`` are read.
     """
+    q = _integer("q", q)
     if q < 2:
         raise ValueError("q must be at least 2")
     if q > MAX_Q:
@@ -276,7 +284,13 @@ def entropy_curve(hist: Histogram) -> EntropyCurve:
             np.sum(w, axis=0, out=num[k, a:b])
     # the last block's arrays, before the curve's columns are allocated
     del truth, falsity, triple, e, w
-    e_t, e_i, e_f = np.divide(num, den, out=np.zeros_like(num), where=den >= ZERO_MASS)
+    # each sum is divided in place by its mass, so no third (3, q) array is
+    # alive beside num and den
+    mass = den >= ZERO_MASS
+    np.divide(num, den, out=num, where=mass)
+    num[~mass] = 0.0
+    del den, mass
+    e_t, e_i, e_f = num
     total = (e_t + e_i + e_f) / 3.0
     return EntropyCurve(q=hist.q, t=ts, e_t=e_t, e_i=e_i, e_f=e_f, total=total)
 
@@ -291,8 +305,10 @@ def find_thresholds(curve: EntropyCurve, max_thresholds: int = 8) -> ThresholdSe
     smallest entropy are kept (ties to the smaller threshold). When no
     interior minimum exists at all, the center of the first run attaining
     the global minimum is returned with ``fallback_used`` set. A curve
-    holding a NaN raises ``ValueError``.
+    holding a NaN, or a ``max_thresholds`` that is not an integer, raises
+    ``ValueError``.
     """
+    max_thresholds = _integer("max_thresholds", max_thresholds)
     if len(curve) == 0:
         raise ValueError("entropy curve is empty")
     if max_thresholds < 1:

@@ -33,6 +33,7 @@ from neutroseg import (
 )
 import neutroseg.cli as cli
 import neutroseg.image as image_mod
+import neutroseg.plain as plain
 
 
 @pytest.fixture
@@ -188,6 +189,20 @@ class TestSegmentCommand:
         assert cli.main(["segment", bimodal_pgm, "--out", str(other)]) == 0
         assert Path(bimodal_pgm).read_bytes() == want
 
+    @pytest.mark.parametrize("option", ["--out", "--curve-out"])
+    def test_output_may_overwrite_a_p2_input(self, option, tmp_path, capsysbinary):
+        # the raster is decoded whole before any output is opened
+        img = mixture_image(0, [0.25, 0.75], [0.05, 0.05], [0.5, 0.5])
+        path = tmp_path / "in.pgm"
+        path.write_bytes(_p2_bytes(img))
+        assert cli.main(["segment", str(path), option, str(path)]) == 0
+        out = capsysbinary.readouterr().out
+        curve = write_curve(entropy_curve(build_histogram(img, q=255)))
+        if option == "--out":
+            assert (out, path.read_bytes()) == (b"", _expected_segment_output(img))
+        else:
+            assert (out, path.read_bytes()) == (_expected_segment_output(img), curve)
+
     def test_curve_output_may_overwrite_the_input(self, bimodal_pgm, capsysbinary):
         img = load_pgm(bimodal_pgm)
         rc = cli.main(["segment", bimodal_pgm, "--curve-out", bimodal_pgm])
@@ -264,7 +279,7 @@ class TestStreamedRepaint:
             assert cli.main([command, str(path)]) == 0
             streamed = capsysbinary.readouterr()
             assert streamed.out == stdout
-            # a P2 input is decoded whole; its stderr must match too
+            # a P2 input is decoded in chunks; its stderr must match too
             assert cli.main([command, str(p2)]) == 0
             assert capsysbinary.readouterr() == streamed
 
@@ -288,23 +303,24 @@ class TestStreamedRepaint:
 
     def test_a_pipe_is_read_whole(self, tmp_path, capsysbinary):
         # a pipe has no size to check the raster against and cannot be
-        # read twice
+        # read twice; a P2 pipe is read whole too
         img = _varied_image(19, 256)
-        fifo = tmp_path / "in.pgm"
-        os.mkfifo(fifo)
-        writer = threading.Thread(
-            target=fifo.write_bytes, args=(write_pgm(img),), daemon=True
-        )
-        writer.start()
-        try:
-            assert cli.main(["segment", str(fifo)]) == 0
-        finally:
-            writer.join(timeout=60)
-        assert not writer.is_alive()
-        assert capsysbinary.readouterr().out == _expected_segment_output(img)
+        for name, encode in (("p5", write_pgm), ("p2", _p2_bytes)):
+            fifo = tmp_path / name
+            os.mkfifo(fifo)
+            writer = threading.Thread(
+                target=fifo.write_bytes, args=(encode(img),), daemon=True
+            )
+            writer.start()
+            try:
+                assert cli.main(["segment", str(fifo)]) == 0
+            finally:
+                writer.join(timeout=60)
+            assert not writer.is_alive()
+            assert capsysbinary.readouterr().out == _expected_segment_output(img)
 
 
-def _p5_error(data: bytes) -> bytes:
+def _pgm_error(data: bytes) -> bytes:
     """The CLI's stderr for a file ``read_pgm`` rejects."""
     with pytest.raises(PgmError) as info:
         read_pgm(data)
@@ -341,7 +357,7 @@ class TestMalformedP5:
         path = tmp_path / "bad.pgm"
         path.write_bytes(data)
         assert cli.main([command, str(path)]) == 2
-        assert capsysbinary.readouterr().err == _p5_error(data)
+        assert capsysbinary.readouterr().err == _pgm_error(data)
 
     def test_header_longer_than_the_first_read(
         self, tmp_path, monkeypatch, capsysbinary
@@ -390,6 +406,71 @@ class TestMalformedP5:
         assert cli.main(["segment", str(path)]) == 2
         err = capsysbinary.readouterr().err
         assert err.endswith(b"\nerror: raster changed while it was read\n")
+
+
+class TestMalformedP2:
+    """The streamed P2 reader fails as read_pgm does on the same bytes.
+
+    Each file is read in chunks of 4 bytes, and its header in reads of 8,
+    so comments and tokens span several reads.
+    """
+
+    @pytest.mark.parametrize("command", ["curve", "threshold", "segment"])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(b"P2x 2 1 255\n1 2", id="bad-magic"),
+            pytest.param(b"P2 2 1 #c\n", id="header-ends-early"),
+            pytest.param(
+                b"P2 3 1 255\n0 # 255 a comment across reads\n255",
+                id="comment-across-reads-then-raster-short",
+            ),
+            pytest.param(b"P2 2 1 100\n0 00000101", id="token-split-across-reads"),
+            pytest.param(
+                b"P2 3 1 255\n0 1_0 255", id="malformed-before-the-last-sample"
+            ),
+            pytest.param(
+                b"P2 5 1 100\n0 1 2 3 101", id="sample-above-maxval-in-the-last-read"
+            ),
+            pytest.param(b"P2 2 1 255\n0 " + b"9" * 30, id="30-digit-token"),
+            pytest.param(b"P2 2 2 255\n0 1 2", id="raster-one-sample-short"),
+        ],
+    )
+    def test_same_error_as_read_pgm(
+        self, data, command, tmp_path, monkeypatch, capsysbinary
+    ):
+        monkeypatch.setattr(plain, "_P2_CHUNK", 4)
+        monkeypatch.setattr(image_mod, "_CHUNK", 8)
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        assert cli.main([command, str(path)]) == 2
+        assert capsysbinary.readouterr().err == _pgm_error(data)
+
+    @pytest.mark.parametrize("command", ["curve", "threshold", "segment"])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(
+                b"P2 3 1 100\n0 50 100 +5", id="malformed-after-the-last-sample"
+            ),
+            pytest.param(
+                b"P2 # a comment longer than a read\n3 1\n255\n0 # 7\n128 255",
+                id="header-longer-than-the-first-read",
+            ),
+        ],
+    )
+    def test_same_image_as_read_pgm(
+        self, data, command, tmp_path, monkeypatch, capsysbinary
+    ):
+        monkeypatch.setattr(plain, "_P2_CHUNK", 4)
+        monkeypatch.setattr(image_mod, "_CHUNK", 8)
+        p2, p5 = tmp_path / "in.pgm", tmp_path / "in5.pgm"
+        p2.write_bytes(data)
+        p5.write_bytes(write_pgm(read_pgm(data)))
+        assert cli.main([command, str(p5)]) == 0
+        want = capsysbinary.readouterr()
+        assert cli.main([command, str(p2)]) == 0
+        assert capsysbinary.readouterr() == want
 
 
 class TestErrorPaths:

@@ -1,7 +1,9 @@
 """PGM codecs and curve serialization."""
 
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,6 +21,7 @@ from neutroseg import (
     TruncatedData,
     build_histogram,
     entropy_curve,
+    load_pgm,
     parse_curve,
     read_pgm,
     save_curve,
@@ -26,7 +29,7 @@ from neutroseg import (
     write_curve,
     write_pgm,
 )
-from neutroseg import imgio
+from neutroseg import imgio, plain
 from neutroseg.imgio import CURVE_HEADER
 from neutroseg.sweep import MAX_Q, EntropyCurve
 
@@ -204,13 +207,23 @@ def p2_raster_pair(draw):
     return head + raster, twin_head + b" # c\n" + twin
 
 
-def decoded(data: bytes):
-    """Levels, dtype and depth of a decoded file, or its error type and message."""
+def decoded(data, read=read_pgm):
+    """Levels, dtype and depth of a decoded file, or its error type and message.
+
+    ``read`` decodes ``data``: PGM bytes for ``read_pgm``, a path for
+    ``load_pgm`` and :func:`opened`.
+    """
     try:
-        img = read_pgm(data)
+        img = read(data)
     except PgmError as exc:
         return type(exc), str(exc)
     return img.levels.tolist(), img.levels.dtype, img.depth
+
+
+def opened(path):
+    """The image the command line reads from the P2 file at ``path``."""
+    with imgio._open_pgm(path) as img:
+        return img
 
 
 @st.composite
@@ -371,13 +384,30 @@ class TestPlainP2Decode:
             read_pgm(data)
         assert str(info.value) == "raster holds 3 samples, " + message
 
+    @pytest.mark.parametrize("read", [read_pgm, load_pgm], ids=["bytes", "file"])
+    def test_comment_and_token_across_many_reads(self, read, tmp_path):
+        # a comment of 4000 reads, then a token of 3000 digits
+        data = b"P2 3 1 255\n7 #" + b"9 " * 8000 + b"\n" + b"0" * 2997 + b"255 0"
+        path = tmp_path / "in.pgm"
+        path.write_bytes(data)
+        with mock.patch.object(plain, "_P2_CHUNK", 4):
+            img = read(data if read is read_pgm else path)
+        assert img.levels.tolist() == [7, 255, 0]
+
     @settings(deadline=None, max_examples=300)
     @given(p2_seam_case(), st.integers(1, 16))
     def test_chunk_seams_change_nothing(self, case, chunk):
         data, want = case
         assert decoded(data) == want
-        with mock.patch.object(imgio, "_P2_CHUNK", chunk):
+        with mock.patch.object(plain, "_P2_CHUNK", chunk):
             assert decoded(data) == want
+            # a file is read in chunks of the same size, so seams also fall
+            # between reads
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "in.pgm"
+                path.write_bytes(data)
+                assert decoded(path, load_pgm) == want
+                assert decoded(path, opened) == want
 
 
 class TestWritePgm:

@@ -112,6 +112,19 @@ class TestBuildHistogram:
         with pytest.raises(ValueError, match="at most"):
             build_histogram(two_delta_image(), q=sweep.MAX_Q + 1)
 
+    @pytest.mark.parametrize(
+        "q", [300.0, None, "300", np.float64(300)], ids=["float", "None", "str", "f8"]
+    )
+    def test_non_integer_q_raises_value_error(self, q):
+        message = r"^q: .* cannot be interpreted as an integer$"
+        with pytest.raises(ValueError, match=message):
+            build_histogram(two_delta_image(), q=q)
+
+    def test_integer_q_is_stored_as_int(self):
+        h = build_histogram(two_delta_image(), q=np.int64(300))
+        assert type(h.q) is int and h.q == 300
+        assert type(entropy_curve(h).q) is int
+
 
 class TestClassStats:
     def test_two_delta_means(self):
@@ -365,9 +378,10 @@ class TestBlockedSweep:
         finally:
             tracemalloc.stop()
         assert len(curve) == hist.occupied()[-1] - hist.occupied()[0] - 1
-        # 7.1 MiB, most of it the per-candidate columns; 11.8 MiB with the
+        # 6.5 MiB, most of it the per-candidate columns; 7.1 MiB when the
+        # sums were divided into a third (3, q) array, 11.8 MiB with the
         # prefix sums alive through the block loop
-        assert peak < 8 * 2**20
+        assert peak < 7 * 2**20
 
 
 def per_cell_curve(hist):
@@ -597,6 +611,20 @@ class TestFindThresholds:
             find_thresholds(curve_of([]))
         with pytest.raises(ValueError):
             find_thresholds(curve_of([0.5, 0.2, 0.5]), max_thresholds=0)
+
+    @pytest.mark.parametrize(
+        "cap", [None, "2", 2.5, np.float64(2)], ids=["None", "str", "float", "f8"]
+    )
+    def test_non_integer_cap_raises_value_error(self, cap):
+        message = r"^max_thresholds: .* cannot be interpreted as an integer$"
+        with pytest.raises(ValueError, match=message):
+            find_thresholds(curve_of([0.5, 0.2, 0.5, 0.1, 0.5]), max_thresholds=cap)
+
+    def test_integer_cap_is_taken_as_int(self):
+        curve = curve_of([0.5, 0.2, 0.5, 0.1, 0.5])
+        for cap in (np.int64(1), True):
+            found = find_thresholds(curve, max_thresholds=cap)
+            assert list(found.thresholds) == [4 / 100]
 
     @pytest.mark.parametrize(
         "totals",
