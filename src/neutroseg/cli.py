@@ -15,8 +15,10 @@ import math
 import os
 import re
 import sys
+import tempfile
+from contextlib import contextmanager
 from itertools import chain
-from typing import Callable, Iterable, Optional, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -137,41 +139,55 @@ def _note(line: str) -> None:
             pass
 
 
-def _emit(path: Optional[str], parts: Iterable[bytes | np.ndarray]) -> None:
-    """Write ``parts`` in order, taking each from the iterable as it goes."""
+# Stdout, and a path that names something other than a regular file
+# (/dev/null, a FIFO), get each write as it is made. Any other path is
+# written to an unnamed file in its directory, which is copied into the path
+# only when the block exits without an exception, so a failed run leaves the
+# path as it was; a copy, unlike a rename, keeps its inode, mode and links.
+@contextmanager
+def _output(path: Optional[str]) -> Iterator[BinaryIO]:
+    """A binary file whose bytes go to ``path``, or to stdout when it is None."""
     if path is None:
         if sys.stdout is None:
             raise OSError("standard output is closed")
-        sys.stdout.buffer.writelines(parts)
+        yield sys.stdout.buffer
         sys.stdout.buffer.flush()
-    else:
+    elif os.path.exists(path) and not os.path.isfile(path):
         with open(path, "wb") as fh:
-            fh.writelines(parts)
+            yield fh
+    else:
+        try:
+            tmp = tempfile.TemporaryFile(dir=os.path.dirname(path) or os.curdir)
+        except OSError as exc:  # named the directory or a random file in it
+            raise OSError(exc.errno, exc.strerror, path) from None
+        with tmp:
+            yield tmp
+            tmp.flush()
+            size = tmp.tell()
+            with open(path, "wb", buffering=0) as fh:
+                # in the kernel, not through a buffer in this process; each
+                # call moves the target's offset, which tell() reads
+                while (done := fh.tell()) < size:
+                    if not os.sendfile(fh.fileno(), tmp.fileno(), done, size - done):
+                        raise OSError(f"{path}: copied {done} of {size} bytes")
 
 
-def _same_file(path: Optional[str], other: str) -> bool:
-    try:
-        return path is not None and os.path.samefile(path, other)
-    except OSError:
-        return False
+def _emit(path: Optional[str], parts: Iterable[bytes | np.ndarray]) -> None:
+    """Write ``parts`` in order, taking each from the iterable as it goes."""
+    with _output(path) as fh:
+        fh.writelines(parts)
 
 
-def _image_curve(args: argparse.Namespace, image) -> EntropyCurve:
-    return entropy_curve(build_histogram(image, q=args.q))
-
-
-def _pipeline(args: argparse.Namespace, image) -> ThresholdSet:
-    """The thresholds selected on ``image``, its curve written to ``--curve-out``."""
-    curve = _image_curve(args, image)
+def _pipeline(args: argparse.Namespace, image) -> tuple[EntropyCurve, ThresholdSet]:
+    """The curve of ``image`` and the thresholds selected on it."""
+    curve = entropy_curve(build_histogram(image, q=args.q))
     found = find_thresholds(curve, max_thresholds=args.max_thresholds)
     if found.fallback_used:
         _note(
             "warning: no interior entropy minimum; reporting the center of the"
             " lowest plateau"
         )
-    if args.curve_out:
-        imgio.save_curve(args.curve_out, curve)
-    return found
+    return curve, found
 
 
 def _threshold_line(t: float, depth: int) -> str:
@@ -181,7 +197,7 @@ def _threshold_line(t: float, depth: int) -> str:
 
 def cmd_curve(args: argparse.Namespace) -> int:
     with imgio._open_pgm(args.input) as image:
-        curve = _image_curve(args, image)
+        curve = entropy_curve(build_histogram(image, q=args.q))
     _note(f"candidates: {len(curve)}")
     # streamed a block of rows at a time, never held as one text
     _emit(args.out, imgio._curve_parts(curve))
@@ -190,27 +206,34 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 def cmd_threshold(args: argparse.Namespace) -> int:
     with imgio._open_pgm(args.input) as image:
-        found = _pipeline(args, image)
+        curve, found = _pipeline(args, image)
+    if args.curve_out:
+        _emit(args.curve_out, imgio._curve_parts(curve))
     lines = [_threshold_line(t, image.depth) for t in found.thresholds]
     _emit(args.out, [("\n".join(lines) + "\n").encode("utf-8")])
     return EXIT_OK
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    # a P5 raster is left in the file (imgio._P5File) and read again to
-    # repaint it, after writing --curve-out and while writing --out, so when
-    # either names the input the raster is read whole first
-    whole = any(_same_file(path, args.input) for path in (args.out, args.curve_out))
-    with imgio._open_pgm(args.input, whole) as image:
-        seg = segment(image, _pipeline(args, image).thresholds)
-        for t in seg.thresholds:
-            _note(f"threshold {_threshold_line(t, image.depth)}")
-        for v, n in zip(seg.region_values, seg.region_counts):
-            _note(f"region {v:.6f} {n}")
-        # the repaint keeps the input's size and depth, so its header; the
-        # raster is streamed in chunks, never held whole beside the input
-        raster = image._lookup_slices(_level_paint(seg))
-        _emit(args.out, chain([imgio._pgm_header(image)], raster))
+    # --out is opened first, so a target that cannot be staged ends the run
+    # before any work. A P5 raster is left in the file (imgio._P5File) and
+    # read again as the repaint is written, so both outputs reach their
+    # paths only after that read, --curve-out first (the PGM wins when both
+    # name one file): either may name the input
+    with _output(args.out) as out:
+        with imgio._open_pgm(args.input) as image:
+            curve, found = _pipeline(args, image)
+            seg = segment(image, found.thresholds)
+            for t in seg.thresholds:
+                _note(f"threshold {_threshold_line(t, image.depth)}")
+            for v, n in zip(seg.region_values, seg.region_counts):
+                _note(f"region {v:.6f} {n}")
+            # the repaint keeps the input's size and depth, so its header;
+            # the raster is streamed in chunks, never held whole
+            raster = image._lookup_slices(_level_paint(seg))
+            out.writelines(chain([imgio._pgm_header(image)], raster))
+        if args.curve_out:
+            _emit(args.curve_out, imgio._curve_parts(curve))
     return EXIT_OK
 
 

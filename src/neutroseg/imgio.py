@@ -239,17 +239,12 @@ def _read_file(fh, stream_p5: bool) -> Union[GrayImage, _P5File]:
 
 
 @contextmanager
-def _open_pgm(path: PathLike, whole: bool = False) -> Iterator:
-    """The PGM file at ``path``, as the CLI reads it.
-
-    A P5 regular file is a :class:`_P5File` over the open file, unless
-    ``whole`` is set; a P2 regular file is streamed, and any other input
-    read whole (see :func:`_read_file`).
-    """
+def _open_pgm(path: PathLike) -> Iterator:
+    """The PGM file at ``path`` as the CLI reads it, a P5 one streamed."""
     # unbuffered: a buffer filled by the magic read would be copied again
     # when a whole file is read after it
     with open(path, "rb", buffering=0) as fh:
-        yield _read_file(fh, stream_p5=not whole)
+        yield _read_file(fh, stream_p5=True)
 
 
 def pgm_parts(image: GrayImage) -> tuple[bytes, memoryview]:

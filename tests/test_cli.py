@@ -211,6 +211,47 @@ class TestSegmentCommand:
         want = write_curve(entropy_curve(build_histogram(img, q=255)))
         assert Path(bimodal_pgm).read_bytes() == want
 
+    def test_a_fifo_out_gets_the_repaint_as_it_is_written(
+        self, bimodal_pgm, tmp_path, monkeypatch, capsysbinary
+    ):
+        # a target that is not a regular file is written directly, never
+        # staged in a file beside it
+        monkeypatch.setattr(cli.tempfile, "TemporaryFile", None)
+        fifo = tmp_path / "out"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(
+            target=lambda: read.append(fifo.read_bytes()), daemon=True
+        )
+        reader.start()
+        try:
+            assert cli.main(["segment", bimodal_pgm, "--out", str(fifo)]) == 0
+        finally:
+            reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert read == [_expected_segment_output(load_pgm(bimodal_pgm))]
+
+    def test_out_wins_when_both_outputs_name_one_file(
+        self, bimodal_pgm, tmp_path, capsysbinary
+    ):
+        both = str(tmp_path / "both")
+        argv = ["segment", bimodal_pgm, "--out", both, "--curve-out", both]
+        assert cli.main(argv) == 0
+        want = _expected_segment_output(load_pgm(bimodal_pgm))
+        assert Path(both).read_bytes() == want
+
+    def test_out_in_a_missing_directory_fails_before_the_input_is_read(
+        self, bimodal_pgm, tmp_path, capsysbinary
+    ):
+        out = tmp_path / "missing" / "out.pgm"
+        assert cli.main(["segment", bimodal_pgm, "--out", str(out)]) == 2
+        err = capsysbinary.readouterr().err
+        # one line, naming the target, with no threshold or region line
+        # before it
+        assert err.startswith(b"error: ") and err.count(b"\n") == 1
+        assert repr(str(out)).encode() in err
+        assert sorted(tmp_path.iterdir()) == [Path(bimodal_pgm)]
+
     @pytest.mark.parametrize(
         "module, name", [(cli, "segment"), (image_mod, "_pair_table")]
     )
@@ -396,6 +437,24 @@ class TestMalformedP5:
         # after the thresholds and regions the first pass found
         assert err.endswith(b"\nerror: raster holds 10 bytes, expected 19\n")
 
+    def test_failed_segment_keeps_its_old_outputs(
+        self, tmp_path, monkeypatch, capsysbinary, between_passes
+    ):
+        monkeypatch.setattr(image_mod, "_CHUNK", 8)
+        path, out, curve = (tmp_path / name for name in ("in.pgm", "o", "c"))
+        data = write_pgm(_varied_image(19, 256))
+        path.write_bytes(data)
+        out.write_bytes(b"old bytes")
+        curve.write_bytes(b"old bytes")
+        between_passes(path, lambda p: p.write_bytes(data[:-9]))
+        argv = ["segment", str(path), "--out", str(out), "--curve-out", str(curve)]
+        assert cli.main(argv) == 2
+        err = capsysbinary.readouterr().err
+        assert err.endswith(b"\nerror: raster holds 10 bytes, expected 19\n")
+        assert (out.read_bytes(), curve.read_bytes()) == (b"old bytes", b"old bytes")
+        # the staged repaint left no file behind
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c", "in.pgm", "o"]
+
     def test_raster_changing_between_passes_is_an_error(
         self, tmp_path, capsysbinary, between_passes
     ):
@@ -520,7 +579,7 @@ class TestErrorPaths:
         args = ["--samples", "1000"] if command == "axioms" else [bimodal_pgm]
         assert cli.main([command, *args]) == 2
         err = capsysbinary.readouterr().err
-        # segment's threshold and region lines come first
+        # segment opens stdout before it reads the input, the others after
         assert err.splitlines()[-1] == b"error: standard output is closed"
         assert err.count(b"error:") == 1 and b"Traceback" not in err
 

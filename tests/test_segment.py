@@ -178,11 +178,20 @@ class TestRender:
         # a per-pixel label array beside the repaint reads about 2x
         assert peak < 1.25 * img.levels.nbytes
 
-    @pytest.mark.parametrize("command", ["segment", "threshold", "curve"])
+    @pytest.mark.parametrize(
+        "command, out_name",
+        [
+            ("segment", "out"),
+            ("threshold", "out"),
+            ("curve", "out"),
+            ("segment", "in.pgm"),
+        ],
+        ids=["segment", "threshold", "curve", "segment-over-its-input"],
+    )
     def test_cli_memory_does_not_grow_with_the_image(
-        self, command, tmp_path, capsys
+        self, command, out_name, tmp_path, capsys
     ):
-        src, out = tmp_path / "in.pgm", tmp_path / "out"
+        src, out = tmp_path / "in.pgm", tmp_path / out_name
         side = 4096
         levels = np.random.default_rng(4).integers(0, 256, side * side, np.uint8)
         save_pgm(src, GrayImage(width=side, height=side, levels=levels))
@@ -196,11 +205,12 @@ class TestRender:
         capsys.readouterr()
         assert rc == 0
         if command == "segment":
-            assert out.stat().st_size == src.stat().st_size
+            assert out.stat().st_size == side * side + len(b"P5\n4096 4096\n255\n")
         # a read buffer and a repaint buffer of one chunk each: 1.9 MiB for
         # segment and 1.8 for threshold and curve (2.9 and 2.7 with 1 MiB
         # buffers); the file's 16 MiB read whole, as before the P5 input
-        # was streamed, reads 17.9 MiB
+        # was streamed and later when an output named the input, reads
+        # 17.9 MiB
         assert peak < 2.5 * 2**20
 
     def test_cli_reads_a_p2_file_once(self, tmp_path, capsys):
