@@ -11,16 +11,13 @@ out of memory), 3 violated internal invariant.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from itertools import chain
-from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
-
-import numpy as np
+from typing import BinaryIO, Callable, Iterator, Optional, Sequence
 
 from . import axioms as axioms_mod
 from . import imgio
@@ -28,7 +25,6 @@ from .errors import NeutrosegError
 from .segment import _level_paint, segment
 from .sweep import (
     MAX_Q,
-    EntropyCurve,
     ThresholdSet,
     build_histogram,
     entropy_curve,
@@ -172,68 +168,71 @@ def _output(path: Optional[str]) -> Iterator[BinaryIO]:
                         raise OSError(f"{path}: copied {done} of {size} bytes")
 
 
-def _emit(path: Optional[str], parts: Iterable[bytes | np.ndarray]) -> None:
-    """Write ``parts`` in order, taking each from the iterable as it goes."""
-    with _output(path) as fh:
-        fh.writelines(parts)
+def _curve_output(path: Optional[str]) -> AbstractContextManager:
+    """``--curve-out`` staged as :func:`_output` does; nothing when absent."""
+    return _output(path) if path else nullcontext()
 
 
-def _pipeline(args: argparse.Namespace, image) -> tuple[EntropyCurve, ThresholdSet]:
-    """The curve of ``image`` and the thresholds selected on it."""
+def _pipeline(args: argparse.Namespace, image, curve_out) -> ThresholdSet:
+    """The thresholds selected on ``image``'s curve, written to ``curve_out``."""
     curve = entropy_curve(build_histogram(image, q=args.q))
+    if curve_out:
+        curve_out.writelines(imgio._curve_parts(curve))
     found = find_thresholds(curve, max_thresholds=args.max_thresholds)
     if found.fallback_used:
         _note(
             "warning: no interior entropy minimum; reporting the center of the"
             " lowest plateau"
         )
-    return curve, found
+    return found
 
 
-def _threshold_line(t: float, depth: int) -> str:
-    level = math.floor(t * (depth - 1) + 0.5)
-    return f"{t:.6f} {level}"
+def _threshold_line(t: float, q: int, depth: int) -> str:
+    """``t = k/q`` and the gray level nearest ``t*(depth-1)``, halves up."""
+    k = round(t * q)  # exact: t is k/q, correctly rounded
+    return f"{t:.6f} {(2 * k * (depth - 1) + q) // (2 * q)}"
+
+
+# Every command stages its outputs before it opens the input, so an output
+# that cannot be made ends the run before any work. --curve-out is entered
+# after --out, so it is put in place first and the PGM wins when both name
+# one file; neither is put in place before the input's last read, so
+# either may name the input.
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    with imgio._open_pgm(args.input) as image:
+    with _output(args.out) as out, imgio._open_pgm(args.input) as image:
         curve = entropy_curve(build_histogram(image, q=args.q))
-    _note(f"candidates: {len(curve)}")
-    # streamed a block of rows at a time, never held as one text
-    _emit(args.out, imgio._curve_parts(curve))
+        _note(f"candidates: {len(curve)}")
+        # streamed a block of rows at a time, never held as one text
+        out.writelines(imgio._curve_parts(curve))
     return EXIT_OK
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    with imgio._open_pgm(args.input) as image:
-        curve, found = _pipeline(args, image)
-    if args.curve_out:
-        _emit(args.curve_out, imgio._curve_parts(curve))
-    lines = [_threshold_line(t, image.depth) for t in found.thresholds]
-    _emit(args.out, [("\n".join(lines) + "\n").encode("utf-8")])
+    with _output(args.out) as out, _curve_output(args.curve_out) as curve_out:
+        with imgio._open_pgm(args.input) as image:
+            found = _pipeline(args, image, curve_out)
+        lines = [_threshold_line(t, args.q, image.depth) for t in found.thresholds]
+        out.write(("\n".join(lines) + "\n").encode("utf-8"))
     return EXIT_OK
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    # --out is opened first, so a target that cannot be staged ends the run
-    # before any work. A P5 raster is left in the file (imgio._P5File) and
-    # read again as the repaint is written, so both outputs reach their
-    # paths only after that read, --curve-out first (the PGM wins when both
-    # name one file): either may name the input
-    with _output(args.out) as out:
+    with _output(args.out) as out, _curve_output(args.curve_out) as curve_out:
+        # a P5 raster is left in the file (imgio._P5File) and read again as
+        # the repaint is written
         with imgio._open_pgm(args.input) as image:
-            curve, found = _pipeline(args, image)
+            found = _pipeline(args, image, curve_out)
             seg = segment(image, found.thresholds)
             for t in seg.thresholds:
-                _note(f"threshold {_threshold_line(t, image.depth)}")
+                _note(f"threshold {_threshold_line(t, args.q, image.depth)}")
             for v, n in zip(seg.region_values, seg.region_counts):
                 _note(f"region {v:.6f} {n}")
             # the repaint keeps the input's size and depth, so its header;
             # the raster is streamed in chunks, never held whole
             raster = image._lookup_slices(_level_paint(seg))
             out.writelines(chain([imgio._pgm_header(image)], raster))
-        if args.curve_out:
-            _emit(args.curve_out, imgio._curve_parts(curve))
     return EXIT_OK
 
 
@@ -246,7 +245,8 @@ def cmd_axioms(args: argparse.Namespace) -> int:
         f" (tolerance {c.tolerance:g}, samples {c.samples})\n"
         for c in checks
     ]
-    _emit(None, ["".join(lines).encode("utf-8")])
+    with _output(None) as out:
+        out.write("".join(lines).encode("utf-8"))
     if all(c.passed for c in checks):
         return EXIT_OK
     _note("error: entropy property violated")

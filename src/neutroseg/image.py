@@ -10,18 +10,17 @@ import numpy as np
 
 from .errors import _integer
 
-# pixels per pass of every per-pixel loop: a bincount of the levels, a
-# gather of their table entries (bincount and take convert their indices to
-# intp first, so that temporary stays at 512 KB or less, in cache), the
-# buffer of a streamed repaint and a read of a P5 file the CLI streams. On
-# a 4096^2 P5 (2-core x86 host), `segment --out` to /dev/null peaked at
-# 31.3-31.5 MB RSS for 2^14 to 2^16, 31.5 for 2^17, 31.7 for 2^18 and
-# 38.5 for 2^20, against 32.4 with a 2^20 repaint and read buffer beside
-# 2^16 bincount and take calls; its wall time was 0.37-0.39 s at every
-# size (medians of 9 interleaved fresh processes), and neither the level
-# count nor the render of the image in process moved with the size. 2^16
-# had been the fastest level count plus render of 2^14 .. 2^18 (52 ms
-# against 55-59 ms), so it stays.
+# pixels per pass of every per-pixel loop: a count of the level pairs, a
+# gather of their table entries (the count copies a chunk's pairs into one
+# intp buffer of _CHUNK // 2 entries, 256 KB, beside a 512 KB table of pair
+# counts; take converts its pair indices to intp, at most 256 KB, so all of
+# it stays in cache), the buffer of a streamed repaint and a read of a P5
+# file the CLI streams. On a 4096^2 P5 (2-core x86 host), `segment --out`
+# to /dev/null peaked at 31.3-31.5 MB RSS for 2^14 to 2^16, 31.5 for 2^17,
+# 31.7 for 2^18 and 38.5 for 2^20, and its wall time was 0.37-0.39 s at
+# every size (medians of 9 interleaved fresh processes, counted then by
+# one bincount per chunk). 2^16 had been the fastest level count plus
+# render of 2^14 .. 2^18 (52 ms against 55-59 ms), so it stays.
 _CHUNK = 1 << 16
 
 
@@ -116,11 +115,26 @@ def _chunks(array: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def _count_levels(chunks: Iterable[np.ndarray]) -> np.ndarray:
-    """Pixel count of every value 0 .. 255 over chunks of ``uint8`` levels."""
+    """Pixel count of every value 0 .. 255 over chunks of ``uint8`` levels.
+
+    Two pixels per increment: each chunk's level pairs, copied into one
+    256 KB ``intp`` buffer, are counted in a 512 KB table of pair counts,
+    which is folded into the level counts at the end.
+    """
+    pairs = np.zeros(1 << 16, dtype=np.int64)
     counts = np.zeros(256, dtype=np.int64)
+    buf = np.empty(_CHUNK // 2, dtype=np.intp)
     for chunk in chunks:
-        counts += np.bincount(chunk, minlength=256)
-    return counts
+        pair_levels, odd = _level_pairs(chunk)
+        # an aligned intp copy: add.at on the "<u2" view itself is slower
+        # when the raster starts at an odd address, as read_pgm's may
+        index = buf[: pair_levels.size]
+        index[...] = pair_levels
+        np.add.at(pairs, index, 1)
+        if odd.size:
+            counts[odd[0]] += 1
+    grid = pairs.reshape(256, 256)  # entry [b, a] counts the pair (a, b)
+    return counts + grid.sum(axis=0) + grid.sum(axis=1)
 
 
 def _lookup_chunks(
@@ -143,16 +157,25 @@ def _gather(
     levels: np.ndarray, table: np.ndarray, pairs: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """``out`` filled with ``table[levels]``, two pixels per ``pairs`` index."""
-    even = levels.size - levels.size % 2
-    # "<u2", not native uint16, so that levels (a, b) read as a + 256*b
-    # on any host
-    index = levels[:even].view("<u2")
+    index, odd = _level_pairs(levels)
+    even = 2 * index.size
     # every index is in range, so "clip" never clips; unlike the default
     # "raise" it writes into out without a buffer
     np.take(pairs, index, out=out[:even].view(pairs.dtype), mode="clip")
-    if even < levels.size:
-        out[-1] = table[levels[-1]]
+    if odd.size:
+        out[-1] = table[odd[0]]
     return out
+
+
+def _level_pairs(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``uint8`` levels viewed as one index per pair, and the odd last level.
+
+    ``"<u2"``, not native ``uint16``, so that levels ``(a, b)`` read as
+    ``a + 256*b`` on any host. The odd last level is an array of one level,
+    or of none when there are evenly many.
+    """
+    even = levels.size - levels.size % 2
+    return levels[:even].view("<u2"), levels[even:]
 
 
 def _pair_table(table: np.ndarray) -> np.ndarray:

@@ -2,7 +2,6 @@
 
 import argparse
 import errno
-import math
 import os
 import subprocess
 import sys
@@ -117,8 +116,20 @@ class TestThresholdCommand:
         value, level = lines[0].split()
         t = float(value)
         assert 0.25 < t < 0.75
-        assert int(level) == math.floor(t * 255 + 0.5)
+        assert int(level) == _nearest_level(t, 255, 256)
         assert b"warning" not in captured.err
+
+    def test_level_rounds_an_exact_half_up(self, tmp_path, capsysbinary):
+        # t = 57/200 and 0.285 * 100 = 28.5 exactly, which rounds up to 29;
+        # floor(t * 100 + 0.5) in floats gives 28
+        path = tmp_path / "half.pgm"
+        levels = [20] * 5 + [28] * 2 + [29] * 2 + [37] * 5
+        save_pgm(path, GrayImage(width=14, height=1, levels=levels, depth=101))
+        argv = [str(path), "--q", "200", "--max-thresholds", "1"]
+        assert cli.main(["threshold", *argv]) == 0
+        assert capsysbinary.readouterr().out == b"0.285000 29\n"
+        assert cli.main(["segment", *argv, "--out", str(tmp_path / "o")]) == 0
+        assert capsysbinary.readouterr().err.startswith(b"threshold 0.285000 29\n")
 
     def test_fallback_warning_on_flat_curve(self, two_delta_pgm, capsysbinary):
         rc = cli.main(["threshold", two_delta_pgm])
@@ -252,6 +263,30 @@ class TestSegmentCommand:
         assert repr(str(out)).encode() in err
         assert sorted(tmp_path.iterdir()) == [Path(bimodal_pgm)]
 
+    def test_curve_out_in_a_missing_directory_fails_before_the_image(
+        self, bimodal_pgm, tmp_path, capsysbinary
+    ):
+        curve = tmp_path / "missing" / "c"
+        assert cli.main(["segment", bimodal_pgm, "--curve-out", str(curve)]) == 2
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err.startswith(b"error: ") and captured.err.count(b"\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [("curve", "--out"), ("threshold", "--out"), ("threshold", "--curve-out")],
+    )
+    def test_output_in_a_missing_directory_fails_before_the_sweep(
+        self, command, option, bimodal_pgm, tmp_path, monkeypatch, capsysbinary
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "entropy_curve", lambda *a: calls.append(a))
+        target = str(tmp_path / "missing" / "o")
+        assert cli.main([command, bimodal_pgm, option, target]) == 2
+        assert calls == []
+        captured = capsysbinary.readouterr()
+        assert captured.out == b"" and captured.err.count(b"\n") == 1
+
     @pytest.mark.parametrize(
         "module, name", [(cli, "segment"), (image_mod, "_pair_table")]
     )
@@ -280,8 +315,14 @@ def _expected_threshold_output(img: GrayImage) -> bytes:
     """The threshold lines for ``img`` at the CLI's default --q and cap."""
     curve = entropy_curve(build_histogram(img, q=255))
     ts = find_thresholds(curve, max_thresholds=8).thresholds
-    top = img.depth - 1
-    return "".join(f"{t:.6f} {math.floor(t * top + 0.5)}\n" for t in ts).encode()
+    lines = [f"{t:.6f} {_nearest_level(t, 255, img.depth)}\n" for t in ts]
+    return "".join(lines).encode()
+
+
+def _nearest_level(t: float, q: int, depth: int) -> int:
+    """The gray level nearest ``t*(depth-1)`` for ``t`` near ``k/q``, halves up."""
+    k = round(t * q)
+    return (2 * k * (depth - 1) + q) // (2 * q)
 
 
 def _varied_image(n: int, depth: int) -> GrayImage:

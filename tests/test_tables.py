@@ -1,6 +1,7 @@
 """Per-level tables against the per-pixel formulas they replace."""
 
 from dataclasses import fields
+from itertools import cycle
 from types import SimpleNamespace
 
 import numpy as np
@@ -184,6 +185,53 @@ def test_gathers_match_per_pixel_formulas_across_chunk_edges(depth, n):
             segment(img, [0.3, 0.7])
         return
     check_pipeline(img, img.levels.astype(np.int64))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7])
+@pytest.mark.parametrize("depth", [2, 101, 256])
+def test_pair_counts_match_bincount(depth, n):
+    # two levels per increment: every odd total and odd chunk end counts once
+    img = random_image(n + depth, n, 1, depth=depth)
+    want = np.bincount(img.levels, minlength=depth)
+    assert np.array_equal(img.level_counts, want)
+    flat = GrayImage(n, 1, np.full(n, depth - 1), depth=depth)
+    assert np.array_equal(flat.level_counts, np.bincount(flat.levels, minlength=depth))
+
+
+def test_pair_counts_of_a_raster_at_either_byte_offset():
+    img = random_image(7, 7, 5, depth=101)
+    want = np.bincount(img.levels, minlength=101)
+    parities = set()
+    # the two headers differ by one byte, so one raster starts at an odd address
+    for head in (b"P5 7 5 100\n", b"P5  7 5 100\n"):
+        back = read_pgm(head + img.levels.tobytes())
+        parities.add(back.levels.ctypes.data % 2)
+        assert np.array_equal(back.level_counts, want)
+    assert parities == {0, 1}
+
+
+class ShortReads:
+    """A file whose ``readinto`` returns at most an odd 1, 3, 5 or 7 bytes."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._sizes = cycle([7, 1, 5, 3])
+
+    def readinto(self, buf):
+        return self._fh.readinto(memoryview(buf)[: next(self._sizes)])
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+@pytest.mark.parametrize("n", [1, 2, 1001])
+def test_streamed_p5_counts_odd_short_reads(n, tmp_path):
+    img = random_image(n, n, 1, depth=256)
+    save_pgm(tmp_path / "in.pgm", img)
+    with open(tmp_path / "in.pgm", "rb", buffering=0) as fh:
+        counted = imgio._P5File(ShortReads(fh))
+    want = read_pgm((tmp_path / "in.pgm").read_bytes()).level_counts
+    assert np.array_equal(counted.level_counts, want)
 
 
 def test_non_contiguous_levels_are_stored_contiguous():
