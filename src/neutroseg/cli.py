@@ -220,8 +220,8 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 def cmd_segment(args: argparse.Namespace) -> int:
     with _output(args.out) as out, _curve_output(args.curve_out) as curve_out:
-        # a P5 raster is left in the file (imgio._P5File) and read again as
-        # the repaint is written
+        # the raster is left in a P5 file (imgio._P5File), the input itself
+        # or a temporary copy of it, and read again as the repaint is written
         with imgio._open_pgm(args.input) as image:
             found = _pipeline(args, image, curve_out)
             seg = segment(image, found.thresholds)
@@ -231,8 +231,9 @@ def cmd_segment(args: argparse.Namespace) -> int:
                 _note(f"region {v:.6f} {n}")
             # the repaint keeps the input's size and depth, so its header;
             # the raster is streamed in chunks, never held whole
+            header = imgio._pgm_header(image.width, image.height, image.depth)
             raster = image._lookup_slices(_level_paint(seg))
-            out.writelines(chain([imgio._pgm_header(image)], raster))
+            out.writelines(chain([header], raster))
     return EXIT_OK
 
 

@@ -14,13 +14,13 @@ from .errors import _integer
 # gather of their table entries (the count copies a chunk's pairs into one
 # intp buffer of _CHUNK // 2 entries, 256 KB, beside a 512 KB table of pair
 # counts; take converts its pair indices to intp, at most 256 KB, so all of
-# it stays in cache), the buffer of a streamed repaint and a read of a P5
-# file the CLI streams. On a 4096^2 P5 (2-core x86 host), `segment --out`
-# to /dev/null peaked at 31.3-31.5 MB RSS for 2^14 to 2^16, 31.5 for 2^17,
-# 31.7 for 2^18 and 38.5 for 2^20, and its wall time was 0.37-0.39 s at
-# every size (medians of 9 interleaved fresh processes, counted then by
-# one bincount per chunk). 2^16 had been the fastest level count plus
-# render of 2^14 .. 2^18 (52 ms against 55-59 ms), so it stays.
+# it stays in cache), the buffer of a streamed repaint and a read of the P5
+# file the CLI reads every input from. On a 4096^2 P5 (2-core x86 host),
+# `segment --out` to /dev/null peaked at 31.3-31.5 MB RSS for 2^14 to
+# 2^16, 31.5 for 2^17, 31.7 for 2^18 and 38.5 for 2^20, and its wall time
+# was 0.37-0.39 s at every size (medians of 9 interleaved fresh processes,
+# counted then by one bincount per chunk). 2^16 had been the fastest level
+# count plus render of 2^14 .. 2^18 (52 ms against 55-59 ms), so it stays.
 _CHUNK = 1 << 16
 
 
@@ -96,10 +96,6 @@ class GrayImage:
         for chunk, dest in zip(_chunks(self.levels), _chunks(out)):
             _gather(chunk, table, pairs, dest)
         return out
-
-    def _lookup_slices(self, table: np.ndarray) -> Iterator[np.ndarray]:
-        """:meth:`lookup` in consecutive chunks; see :func:`_lookup_chunks`."""
-        return _lookup_chunks(_chunks(self.levels), table, self.depth)
 
 
 def _check_table(table: np.ndarray, depth: int) -> np.ndarray:

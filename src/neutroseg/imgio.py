@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import os
 import re
+import shutil
 import stat
+import tempfile
 from contextlib import contextmanager
 from typing import Iterator, NamedTuple, Union
 
@@ -116,22 +118,40 @@ def _header_int(token: bytes, what: str) -> int:
 
 def read_pgm(data: bytes) -> GrayImage:
     """Decode PGM bytes (P2 or P5) into a gray image of depth maxval + 1."""
-    magic, width, height, maxval, pos = _header(data)
+    if data[:2] == b"P2":
+        return _p2_image(data, None, len(data))
+    _, width, height, maxval, pos = _header(data)
     count = width * height
-    if magic == b"P2":
-        # slices as long as a file's reads, cut again by the decoder as those are
-        step = plain._P2_CHUNK
-        chunks = (data[i : i + step] for i in range(pos, len(data), step))
-        levels = plain._p2_levels(chunks, len(data) - pos, count, maxval)
-    else:
-        start = _p5_start(data, pos, len(data), count)
-        levels = np.frombuffer(data, dtype=np.uint8, count=count, offset=start)
+    start = _p5_start(data, pos, len(data), count)
+    levels = np.frombuffer(data, dtype=np.uint8, count=count, offset=start)
     try:
         return GrayImage(width=width, height=height, levels=levels, depth=maxval + 1)
     except ValueError as exc:
         # the header checks above leave a P5 sample above maxval, which
         # GrayImage checks once, as the only failure
         raise SampleOutOfRange(f"sample {exc}") from None
+
+
+def _p2_image(head: bytes, fh, size: int) -> GrayImage:
+    """The P2 image of ``size`` bytes in ``head`` and then in reads of ``fh``."""
+    _, width, height, maxval, pos = _header(head)
+    count = width * height
+    # a raster of n bytes holds at most (n + 1) // 2 samples, so a short
+    # one is read into no more than that before it is reported
+    levels = np.empty(min(count, max(size - pos + 1, 0) // 2), dtype=np.uint8)
+    filled = 0
+    for piece in plain._p2_levels(_p2_chunks(head, pos, fh), count, maxval):
+        levels[filled : filled + piece.size] = piece
+        filled += piece.size
+    return GrayImage(width=width, height=height, levels=levels, depth=maxval + 1)
+
+
+def _p2_chunks(head: bytes, pos: int, fh) -> Iterator[bytes]:
+    """``head`` from ``pos``, in slices as long as a read, then reads of ``fh``."""
+    step = plain._P2_CHUNK
+    yield from (head[i : i + step] for i in range(pos, len(head), step))
+    while fh is not None and (chunk := fh.read(step)):
+        yield chunk
 
 
 class _P5File:
@@ -183,6 +203,7 @@ class _P5File:
 
 def _p5_header(fh) -> tuple[int, int, int, int]:
     """Width, height, maxval and raster offset of the P5 file ``fh``, checked."""
+    fh.seek(0)
     head = _head(fh)
     _, width, height, maxval, pos = _header(head)
     size = os.fstat(fh.fileno()).st_size
@@ -190,8 +211,7 @@ def _p5_header(fh) -> tuple[int, int, int, int]:
 
 
 def _head(fh) -> bytes:
-    """The start of the file ``fh``, up to past its maxval or its end."""
-    fh.seek(0)
+    """What ``fh`` (a file or a pipe) holds next, up to past maxval or its end."""
     head = fh.read(image_mod._CHUNK)
     # maxval ends before the end of what was read, or at the file's end
     while _fields(head)[1] == len(head) and (more := fh.read(len(head))):
@@ -199,52 +219,39 @@ def _head(fh) -> bytes:
     return head
 
 
-def _p2_file(fh) -> GrayImage:
-    """The P2 file ``fh``, its raster read in chunks into one reused buffer.
-
-    The header is parsed and checked as :func:`read_pgm` does, and the
-    raster decoded by the same decoder, so every fault gets the same class
-    and message. Reading stops once the last sample is decoded.
-    """
-    _, width, height, maxval, pos = _header(_head(fh))
-    size = max(os.fstat(fh.fileno()).st_size - pos, 0)
-    fh.seek(pos)
-
-    def chunks() -> Iterator[bytearray]:
-        buf = bytearray(min(plain._P2_CHUNK, size))
-        while n := fh.readinto(buf):
-            del buf[n:]  # a short read only at the end of the file
-            yield buf
-
-    levels = plain._p2_levels(chunks(), size, width * height, maxval)
-    return GrayImage(width=width, height=height, levels=levels, depth=maxval + 1)
+def _magic(fh) -> bytes:
+    """The first two bytes of ``fh`` if it is a regular file, else ``b""``; no seek."""
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        return b""
+    return os.pread(fh.fileno(), 2, 0)
 
 
-def _read_file(fh, stream_p5: bool) -> Union[GrayImage, _P5File]:
-    """The PGM file ``fh`` is open on.
-
-    A P2 regular file is streamed through :func:`_p2_file`, and a P5 one
-    left in the file as a :class:`_P5File` if ``stream_p5`` is set. Any
-    other input is read whole and decoded by :func:`read_pgm`, so a short
-    raster is reported before anything of the header's size is allocated.
-    """
-    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-        magic = fh.read(2)
-        if magic == b"P2":
-            return _p2_file(fh)
-        if magic == b"P5" and stream_p5:
-            return _P5File(fh)
-        fh.seek(0)
-    return read_pgm(fh.read())
+def _spill(fh, spill) -> None:
+    """Write the PGM read from ``fh`` to ``spill`` as P5: a P5 copied, a P2 decoded."""
+    head = _head(fh)
+    magic, width, height, maxval, pos = _header(head)
+    if magic == b"P5":
+        spill.write(head)
+        shutil.copyfileobj(fh, spill)
+        return
+    spill.write(_pgm_header(width, height, maxval + 1))
+    chunks = _p2_chunks(head, pos, fh)
+    spill.writelines(plain._p2_levels(chunks, width * height, maxval))
 
 
 @contextmanager
-def _open_pgm(path: PathLike) -> Iterator:
-    """The PGM file at ``path`` as the CLI reads it, a P5 one streamed."""
-    # unbuffered: a buffer filled by the magic read would be copied again
-    # when a whole file is read after it
+def _open_pgm(path: PathLike) -> Iterator[_P5File]:
+    """The PGM file at ``path`` as a :class:`_P5File`, spilled unless a P5 file."""
+    # a P2 file or a pipe is spilled to an unnamed temporary file, so no
+    # input is held whole; unbuffered, each read of ``path`` goes straight
+    # into the buffer it is read into
     with open(path, "rb", buffering=0) as fh:
-        yield _read_file(fh, stream_p5=True)
+        if _magic(fh) == b"P5":
+            yield _P5File(fh)
+        else:
+            with tempfile.TemporaryFile() as spill:
+                _spill(fh, spill)
+                yield _P5File(spill)
 
 
 def pgm_parts(image: GrayImage) -> tuple[bytes, memoryview]:
@@ -254,13 +261,12 @@ def pgm_parts(image: GrayImage) -> tuple[bytes, memoryview]:
     ``uint8``), not a copy; written one after the other, the two parts are
     the file.
     """
-    return _pgm_header(image), memoryview(image.levels)
+    return _pgm_header(image.width, image.height, image.depth), memoryview(image.levels)
 
 
-def _pgm_header(image) -> bytes:
-    """The binary PGM header of an image of ``image``'s size and depth."""
-    maxval = image.depth - 1
-    return f"P5\n{image.width} {image.height}\n{maxval}\n".encode("ascii")
+def _pgm_header(width: int, height: int, depth: int) -> bytes:
+    """The binary PGM header of an image of this size and depth."""
+    return f"P5\n{width} {height}\n{depth - 1}\n".encode("ascii")
 
 
 def write_pgm(image: GrayImage) -> bytes:
@@ -269,9 +275,12 @@ def write_pgm(image: GrayImage) -> bytes:
 
 
 def load_pgm(path: PathLike) -> GrayImage:
-    """Read a PGM file from ``path``; a P2 regular file is read in chunks."""
+    """Read a PGM file from ``path``; a P2 regular file is decoded a read at a time."""
+    # anything else is read whole: a pipe has no size to bound P2 levels by
     with open(path, "rb", buffering=0) as fh:
-        return _read_file(fh, stream_p5=False)
+        if _magic(fh) == b"P2":
+            return _p2_image(_head(fh), fh, os.fstat(fh.fileno()).st_size)
+        return read_pgm(fh.read())
 
 
 def save_pgm(path: PathLike, image: GrayImage) -> None:

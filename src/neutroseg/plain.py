@@ -1,10 +1,13 @@
-"""The decoder of plain (P2) PGM rasters, the one both read paths use.
+"""The decoder of plain (P2) PGM rasters, the one every read path uses.
 
 :func:`read_pgm <neutroseg.imgio.read_pgm>` passes it slices of the bytes
-it is given, and the command line and ``load_pgm`` the reads of a file.
-A raster is decoded in pieces of about ``_P2_CHUNK`` bytes, each cut at a
-whitespace byte outside any comment, straight into ``uint8`` levels, so
-the decoder's temporaries scale with a piece, not with the image.
+it is given, ``load_pgm`` the reads of a regular file, and the command
+line those of a file or a pipe. A raster is decoded in pieces of about
+``_P2_CHUNK`` bytes, each cut at a whitespace byte outside any comment,
+straight into ``uint8`` levels that are yielded piece by piece:
+``read_pgm`` and ``load_pgm`` collect them into one array, and the
+command line writes them to a temporary P5 file. So the decoder's
+temporaries scale with a piece, not with the image.
 """
 
 from __future__ import annotations
@@ -46,22 +49,18 @@ def _out_of_range(lo: int, hi: int, maxval: int) -> SampleOutOfRange:
 
 
 def _p2_levels(
-    chunks: Iterable[bytes], size: int, count: int, maxval: int
-) -> np.ndarray:
-    """The first ``count`` samples of a P2 raster of ``size`` bytes.
+    chunks: Iterable[bytes], count: int, maxval: int
+) -> Iterator[np.ndarray]:
+    """The first ``count`` samples of a P2 raster, in ``uint8`` pieces <= maxval.
 
-    ``chunks`` are the raster's bytes in order, from the byte after maxval,
-    split anywhere; each is ``bytes`` or a ``bytearray`` that may be
-    reused once the next chunk is asked for. Returns the samples as
-    ``uint8`` levels, each checked against ``maxval``.
+    ``chunks`` are the raster's bytes in order from the byte after maxval,
+    split anywhere, each ``bytes`` or a ``bytearray`` reused once the next
+    is asked for. A fault is raised after the last piece.
     """
-    # a raster of n bytes holds at most (n + 1) // 2 samples, so a short
-    # one is read into no more than that before it is reported
-    out = np.empty(min(count, (size + 1) // 2), dtype=np.uint8)
     filled, lo, hi = 0, np.iinfo(np.int64).max, 0
     bad = None
     pieces = _p2_pieces(chunks)
-    while filled < out.size and not bad and (piece := next(pieces, b"")):
+    while filled < count and not bad and (piece := next(pieces, b"")):
         # the translate check is cheap; the regexes run only when it fires
         odd = piece.translate(None, _PLAIN_RASTER)
         if b"#" in odd:
@@ -70,12 +69,13 @@ def _p2_levels(
         bad = odd and _BAD_SAMPLE.search(piece)
         if bad:
             piece = piece[: bad.start()]
-        samples = _piece_samples(piece, out.size - filled)
+        samples = _piece_samples(piece, count - filled)
         if samples.size:
-            out[filled : filled + samples.size] = samples
             filled += samples.size
             lo = min(lo, int(samples.min()))
             hi = max(hi, int(samples.max()))
+            if hi <= maxval:
+                yield samples.astype(np.uint8)
     if filled < count:
         if bad:
             raise PgmError(f"malformed sample field {bad[0]!r}")
@@ -86,7 +86,6 @@ def _p2_levels(
         if hi == np.iinfo(np.int64).max:
             raise SampleOutOfRange(f"a sample exceeds maxval {maxval}")
         raise _out_of_range(lo, hi, maxval)
-    return out
 
 
 def _p2_pieces(chunks: Iterable[bytes]) -> Iterator[bytes]:

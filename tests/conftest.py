@@ -1,6 +1,12 @@
-"""Shared synthetic-image builders for the test suite."""
+"""Shared synthetic-image builders and input helpers for the test suite."""
 
 from __future__ import annotations
+
+import os
+import threading
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -44,3 +50,26 @@ def random_image(seed: int, width: int, height: int, depth: int = 256) -> GrayIm
     rng = np.random.default_rng(seed)
     levels = rng.integers(0, depth, width * height)
     return GrayImage(width=width, height=height, levels=levels, depth=depth)
+
+
+@contextmanager
+def piped(path: Path, data: bytes) -> Iterator[str]:
+    """A FIFO at ``path`` that a thread writes ``data`` to once it is opened.
+
+    The reader may close it early, after an error, before all is written.
+    """
+    os.mkfifo(path)
+
+    def write():
+        try:
+            path.write_bytes(data)
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        yield str(path)
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()

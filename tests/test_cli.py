@@ -5,6 +5,7 @@ import errno
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import image_from_unit, mixture_image, random_image
+from conftest import image_from_unit, mixture_image, piped, random_image
 import neutroseg
 from neutroseg import (
     AxiomCheck,
@@ -383,9 +384,10 @@ class TestStreamedRepaint:
         n = 2 * image_mod._CHUNK + 3
         self.check(_varied_image(n, 256), tmp_path, capsysbinary)
 
-    def test_a_pipe_is_read_whole(self, tmp_path, capsysbinary):
+    def test_a_pipe_is_spilled_to_a_temporary_file(self, tmp_path, capsysbinary):
         # a pipe has no size to check the raster against and cannot be
-        # read twice; a P2 pipe is read whole too
+        # read twice, so it is copied to a temporary P5 file, and a P2 pipe
+        # decoded into one
         img = _varied_image(19, 256)
         for name, encode in (("p5", write_pgm), ("p2", _p2_bytes)):
             fifo = tmp_path / name
@@ -571,6 +573,84 @@ class TestMalformedP2:
         want = capsysbinary.readouterr()
         assert cli.main([command, str(p2)]) == 0
         assert capsysbinary.readouterr() == want
+
+
+class TestPipedInput:
+    """Input through a FIFO is spilled to a temporary P5 file and read as one.
+
+    Every fault ends the run as it does for the same bytes in a file.
+    """
+
+    @pytest.mark.parametrize("command", ["curve", "threshold", "segment"])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(b"", id="empty"),
+            pytest.param(b"P5 2 2 255\n\x00\x01\x02", id="truncated-p5"),
+            pytest.param(b"P5 3 1 100\n\x00\x01\xc8", id="p5-sample-above-maxval"),
+            pytest.param(b"P2 3 1 255\n0 1_0 255", id="malformed-p2-token"),
+            pytest.param(b"P2 2 2 255\n0 1 2", id="truncated-p2"),
+        ],
+    )
+    def test_same_error_as_read_pgm(self, data, command, tmp_path, capsysbinary):
+        with piped(tmp_path / "in.pgm", data) as path:
+            assert cli.main([command, path]) == 2
+        assert capsysbinary.readouterr().err == _pgm_error(data)
+
+    @pytest.mark.parametrize("command", ["curve", "threshold", "segment"])
+    def test_constant_p2_is_a_domain_error(self, command, tmp_path, capsysbinary):
+        data = b"P2 3 1 255\n7 7 7"
+        (tmp_path / "flat.pgm").write_bytes(data)
+        assert cli.main([command, str(tmp_path / "flat.pgm")]) == 2
+        want = capsysbinary.readouterr().err
+        assert want == b"error: constant image: fewer than two distinct gray levels\n"
+        with piped(tmp_path / "in.pgm", data) as path:
+            assert cli.main([command, path]) == 2
+        assert capsysbinary.readouterr().err == want
+
+    @pytest.mark.parametrize("encode", [write_pgm, _p2_bytes], ids=["p5", "p2"])
+    def test_load_pgm_reads_a_fifo(self, encode, tmp_path):
+        data = encode(_varied_image(19, 101))
+        with piped(tmp_path / "in.pgm", data) as path:
+            img = load_pgm(path)
+        want = read_pgm(data)
+        assert (img.width, img.height, img.depth) == (19, 1, 101)
+        assert np.array_equal(img.levels, want.levels)
+
+
+class TestTemporaryDirectory:
+    """P2 and piped input are spilled to the temporary directory; P5 files are not."""
+
+    @pytest.fixture(autouse=True)
+    def missing_tempdir(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+
+    @pytest.mark.parametrize("source", ["p2-file", "piped-p5"])
+    def test_no_temporary_file_is_one_line_error(
+        self, source, tmp_path, capsysbinary
+    ):
+        img = _varied_image(19, 256)
+        out, curve = tmp_path / "o", tmp_path / "c"
+        out.write_bytes(b"old bytes")
+        curve.write_bytes(b"old bytes")
+        outputs = ["--out", str(out), "--curve-out", str(curve)]
+        if source == "p2-file":
+            (tmp_path / "in.pgm").write_bytes(_p2_bytes(img))
+            assert cli.main(["segment", str(tmp_path / "in.pgm"), *outputs]) == 2
+        else:
+            with piped(tmp_path / "in.pgm", write_pgm(img)) as path:
+                assert cli.main(["segment", path, *outputs]) == 2
+        err = capsysbinary.readouterr().err
+        assert err.startswith(b"error: ") and err.count(b"\n") == 1
+        assert b"missing" in err
+        assert (out.read_bytes(), curve.read_bytes()) == (b"old bytes", b"old bytes")
+
+    def test_a_p5_file_needs_no_temporary_file(self, tmp_path, capsysbinary):
+        img = _varied_image(19, 256)
+        save_pgm(tmp_path / "in.pgm", img)
+        out = tmp_path / "o"
+        assert cli.main(["segment", str(tmp_path / "in.pgm"), "--out", str(out)]) == 0
+        assert out.read_bytes() == _expected_segment_output(img)
 
 
 class TestErrorPaths:

@@ -221,9 +221,16 @@ def decoded(data, read=read_pgm):
 
 
 def opened(path):
-    """The image the command line reads from the P2 file at ``path``."""
-    with imgio._open_pgm(path) as img:
-        return img
+    """The image the command line reads from the P2 file at ``path``.
+
+    Its levels are read back from the P5 file it is spilled to, by the
+    repaint's own pass, with the identity table.
+    """
+    with imgio._open_pgm(path) as raster:
+        identity = np.arange(raster.depth, dtype=np.uint8)
+        parts = [part.tobytes() for part in raster._lookup_slices(identity)]
+        levels = np.frombuffer(b"".join(parts), dtype=np.uint8)
+        return GrayImage(raster.width, raster.height, levels, depth=raster.depth)
 
 
 @st.composite

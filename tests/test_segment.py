@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import image_from_unit, random_image, unit_levels
+from conftest import image_from_unit, piped, random_image, unit_levels
 from neutroseg import (
     DimensionMismatch,
     EmptyImage,
@@ -16,6 +16,7 @@ from neutroseg import (
     render,
     save_pgm,
     segment,
+    write_pgm,
 )
 import neutroseg.cli as cli
 
@@ -179,38 +180,64 @@ class TestRender:
         assert peak < 1.25 * img.levels.nbytes
 
     @pytest.mark.parametrize(
-        "command, out_name",
+        "command, out_name, source",
         [
-            ("segment", "out"),
-            ("threshold", "out"),
-            ("curve", "out"),
-            ("segment", "in.pgm"),
+            ("segment", "out", "p5"),
+            ("threshold", "out", "p5"),
+            ("curve", "out", "p5"),
+            ("segment", "in.pgm", "p5"),
+            ("segment", "out", "p2"),
+            ("segment", "out", "pipe"),
         ],
-        ids=["segment", "threshold", "curve", "segment-over-its-input"],
+        ids=[
+            "segment",
+            "threshold",
+            "curve",
+            "segment-over-its-input",
+            "segment-p2-file",
+            "segment-piped-p5",
+        ],
     )
     def test_cli_memory_does_not_grow_with_the_image(
-        self, command, out_name, tmp_path, capsys
+        self, command, out_name, source, tmp_path, capsys
     ):
         src, out = tmp_path / "in.pgm", tmp_path / out_name
-        side = 4096
+        # a 2048^2 P2 file (16 MiB of text) holds 4 MiB of levels
+        side = 2048 if source == "p2" else 4096
         levels = np.random.default_rng(4).integers(0, 256, side * side, np.uint8)
-        save_pgm(src, GrayImage(width=side, height=side, levels=levels))
-        del levels
+        img = GrayImage(width=side, height=side, levels=levels)
+        header = b"P5\n%d %d\n255\n" % (side, side)
+        if source == "p2":
+            # three digits and a blank per sample
+            digits = [levels // 100 + 48, levels // 10 % 10 + 48, levels % 10 + 48]
+            text = np.column_stack([*digits, np.full_like(levels, ord(" "))])
+            src.write_bytes(b"P2\n%d %d\n255\n" % (side, side) + text.tobytes())
+            del digits, text
+        data = write_pgm(img) if source == "pipe" else None
+        if source == "p5":
+            save_pgm(src, img)
+        del levels, img
         tracemalloc.start()
         try:
-            rc = cli.main([command, str(src), "--out", str(out)])
+            if source == "pipe":
+                with piped(src, data) as path:
+                    rc = cli.main([command, path, "--out", str(out)])
+            else:
+                rc = cli.main([command, str(src), "--out", str(out)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         capsys.readouterr()
         assert rc == 0
         if command == "segment":
-            assert out.stat().st_size == side * side + len(b"P5\n4096 4096\n255\n")
+            assert out.stat().st_size == side * side + len(header)
         # a read buffer and a repaint buffer of one chunk each: 1.9 MiB for
         # segment and 1.8 for threshold and curve (2.9 and 2.7 with 1 MiB
         # buffers); the file's 16 MiB read whole, as before the P5 input
         # was streamed and later when an output named the input, reads
-        # 17.9 MiB
+        # 17.9 MiB. A 2048^2 P2 file and a piped P5 are spilled to a
+        # temporary P5 file first, and peak at 1.5 MiB each; with the P2
+        # levels held whole and the pipe read whole, at 5.5 and 17.5 MiB
         assert peak < 2.5 * 2**20
 
     def test_cli_reads_a_p2_file_once(self, tmp_path, capsys):
@@ -226,7 +253,8 @@ class TestRender:
             tracemalloc.stop()
         capsys.readouterr()
         assert rc == 0
-        # the levels (1 MiB) and 1.46 MiB more, as at 2048^2: the file is
-        # read in chunks of _P2_CHUNK bytes into one buffer. Read whole, as
-        # before, the file (3.6 MiB) put the peak 4.6 MiB above the levels
-        assert peak < 1024 * 1024 + 2 * 2**20
+        # the decoder's pieces of _P2_CHUNK bytes, which are written to a
+        # temporary P5 file as they are decoded, the levels never held
+        # whole. Read whole, as before, the file (3.6 MiB) put the peak
+        # 4.6 MiB above the levels (1 MiB)
+        assert peak < 2 * 2**20

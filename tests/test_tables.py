@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import neutroseg.cli as cli
 import neutroseg.image as image_mod
 import neutroseg.imgio as imgio
 from conftest import random_image, unit_levels
@@ -65,6 +66,68 @@ def test_tables_match_per_pixel_formulas(depth, q):
     # every nonempty region repaints to its exact mean level, halves up
     out = render(seg, img)
     assert np.array_equal(out.levels, region_means(img.levels, labels))
+
+
+def every_level_image(rng: np.random.Generator, depth: int) -> GrayImage:
+    """Every level 0 .. depth-1, each 1 to 4 times."""
+    levels = np.repeat(np.arange(depth), rng.integers(1, 5, depth))
+    return GrayImage(width=levels.size, height=1, levels=levels, depth=depth)
+
+
+def check_integer_rules(img: GrayImage, q: int, rng: np.random.Generator) -> None:
+    """The code's bin, label, threshold-line and paint rules at one (depth, q).
+
+    Each is checked against its integer reference. Every level of ``img``
+    is occupied, so a histogram that matches pins the bin of each level.
+    """
+    depth, top = img.depth, img.depth - 1
+    level = np.arange(depth, dtype=np.int64)
+    weight = img.level_counts
+
+    bins = (2 * level * q + depth - 1) // (2 * (depth - 1))
+    want = np.zeros(q + 1, dtype=np.int64)
+    np.add.at(want, bins, weight)
+    assert np.array_equal(build_histogram(img, q=q).counts, want)
+
+    every = np.arange(1, q, dtype=np.int64)
+    some = np.sort(rng.choice(every, size=min(8, q - 1), replace=False))
+    for ks in (every, some):
+        seg = segment(img, ks / q)
+        # the number of thresholds k/q below each level: k*(d-1) < L*q
+        labels = np.searchsorted(ks * top, level * q, side="left")
+        assert np.array_equal(seg.level_labels, labels)
+        c = np.zeros(ks.size + 1, dtype=np.int64)
+        s = np.zeros(ks.size + 1, dtype=np.int64)
+        np.add.at(c, labels, weight)
+        np.add.at(s, labels, weight * level)
+        full = c > 0
+        assert np.array_equal(seg.region_counts, c)
+        paint = (2 * s[full] + c[full]) // (2 * c[full])
+        assert np.array_equal(seg.region_levels[full], paint)
+
+    # every k whose level k*(d-1)/q is an exact half, its neighbours and a
+    # few more
+    halves = every[2 * every * top % (2 * q) == q]
+    ks = np.concatenate([halves - 1, halves, halves + 1, some[:4]])
+    for k in np.unique(ks[(ks >= 1) & (ks < q)]).tolist():
+        line = f"{k / q:.6f} {(2 * k * top + q) // (2 * q)}"
+        assert cli._threshold_line(k / q, q, depth) == line
+
+
+@pytest.mark.parametrize("depth", [101, 256])
+def test_integer_rules_at_every_q(depth):
+    rng = np.random.default_rng(depth)
+    img = every_level_image(rng, depth)
+    for q in range(2, 4097):
+        check_integer_rules(img, q, rng)
+
+
+def test_integer_rules_at_every_depth():
+    rng = np.random.default_rng(27)
+    for depth in range(2, 257):
+        img = every_level_image(rng, depth)
+        for q in rng.choice(np.arange(2, 4097), size=16, replace=False).tolist():
+            check_integer_rules(img, q, rng)
 
 
 @pytest.mark.parametrize("depth", DEPTHS)
@@ -148,7 +211,9 @@ def check_lookup(img: GrayImage) -> None:
         assert got.tobytes() == table[img.levels].tobytes()
         entries = table.tolist()
         assert got.tolist() == [entries[v] for v in img.levels.tolist()]
-        parts = [part.tobytes() for part in img._lookup_slices(table)]
+        chunks = image_mod._chunks(img.levels)
+        slices = image_mod._lookup_chunks(chunks, table, img.depth)
+        parts = [part.tobytes() for part in slices]
         # the streamed repaint gathers every part into one _CHUNK buffer
         assert all(len(part) <= image_mod._CHUNK * table.itemsize for part in parts)
         assert b"".join(parts) == got.tobytes()
