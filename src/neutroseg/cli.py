@@ -15,7 +15,7 @@ import os
 import re
 import sys
 import tempfile
-from contextlib import AbstractContextManager, contextmanager, nullcontext
+from contextlib import AbstractContextManager, ExitStack, contextmanager, nullcontext
 from itertools import chain
 from typing import BinaryIO, Callable, Iterator, Optional, Sequence
 
@@ -140,6 +140,8 @@ def _note(line: str) -> None:
 # written to an unnamed file in its directory, which is copied into the path
 # only when the block exits without an exception, so a failed run leaves the
 # path as it was; a copy, unlike a rename, keeps its inode, mode and links.
+# An existing target is opened for writing on entry, and truncated only at
+# the copy, so a target that cannot be written ends the run before any work.
 @contextmanager
 def _output(path: Optional[str]) -> Iterator[BinaryIO]:
     """A binary file whose bytes go to ``path``, or to stdout when it is None."""
@@ -148,29 +150,39 @@ def _output(path: Optional[str]) -> Iterator[BinaryIO]:
             raise OSError("standard output is closed")
         yield sys.stdout.buffer
         sys.stdout.buffer.flush()
+    elif not os.path.basename(path):
+        raise OSError(f"output path {path!r} names no file")
     elif os.path.exists(path) and not os.path.isfile(path):
         with open(path, "wb") as fh:
             yield fh
     else:
-        try:
-            tmp = tempfile.TemporaryFile(dir=os.path.dirname(path) or os.curdir)
-        except OSError as exc:  # named the directory or a random file in it
-            raise OSError(exc.errno, exc.strerror, path) from None
-        with tmp:
+        with ExitStack() as stack:
+            target = None
+            if os.path.isfile(path):
+                fd = os.open(path, os.O_WRONLY)
+                target = stack.enter_context(open(fd, "wb", buffering=0))
+            try:
+                tmp = tempfile.TemporaryFile(dir=os.path.dirname(path) or os.curdir)
+            except OSError as exc:  # named the directory or a random file in it
+                raise OSError(exc.errno, exc.strerror, path) from None
+            stack.enter_context(tmp)
             yield tmp
             tmp.flush()
             size = tmp.tell()
-            with open(path, "wb", buffering=0) as fh:
-                # in the kernel, not through a buffer in this process; each
-                # call moves the target's offset, which tell() reads
-                while (done := fh.tell()) < size:
-                    if not os.sendfile(fh.fileno(), tmp.fileno(), done, size - done):
-                        raise OSError(f"{path}: copied {done} of {size} bytes")
+            if target is None:
+                target = stack.enter_context(open(path, "wb", buffering=0))
+            else:
+                target.truncate(0)
+            # in the kernel, not through a buffer in this process; each
+            # call moves the target's offset, which tell() reads
+            while (done := target.tell()) < size:
+                if not os.sendfile(target.fileno(), tmp.fileno(), done, size - done):
+                    raise OSError(f"{path}: copied {done} of {size} bytes")
 
 
 def _curve_output(path: Optional[str]) -> AbstractContextManager:
     """``--curve-out`` staged as :func:`_output` does; nothing when absent."""
-    return _output(path) if path else nullcontext()
+    return nullcontext() if path is None else _output(path)
 
 
 def _pipeline(args: argparse.Namespace, image, curve_out) -> ThresholdSet:

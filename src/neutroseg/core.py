@@ -22,7 +22,7 @@ values, so the caller's floating-point error state never sees them.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -63,24 +63,28 @@ def dissimilarity(x: Real, y: Real) -> Real:
     return 2.0 * np.abs(x - y) / (1.0 + np.abs(x - 0.5) + np.abs(y - 0.5))
 
 
-def _share(b: Real, prod: np.ndarray, den: np.ndarray, tie: float) -> np.ndarray:
-    """(b - prod) / den, or ``tie`` wherever den > 0 fails (den <= 0 or NaN)."""
+def _share(
+    b: Real, prod: np.ndarray, den: np.ndarray, ties: Optional[np.ndarray], tie: float
+) -> np.ndarray:
+    """(b - prod) / den, or ``tie`` wherever ``ties`` is set."""
     with np.errstate(all="ignore"):
         won = np.subtract(b, prod, out=np.empty(den.shape))
         won /= den
-        # the min is NaN, and fails the test, when any den is; inf when none
-        if not den.min(initial=np.inf) > 0.0:
-            won[~(den > 0.0)] = tie
+    if ties is not None:
+        won[ties] = tie
     return won
 
 
-def _rivals(a: Real, b: Real) -> tuple[np.ndarray, np.ndarray]:
-    """a*b and a + b - a*b, the terms both sides of a contest share."""
+def _rivals(a: Real, b: Real) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """a*b, den = a + b - a*b and the cells where den > 0 fails (None if none)."""
     shape = np.broadcast(a, b).shape
     prod = np.multiply(a, b, out=np.empty(shape))
     den = np.add(a, b, out=np.empty(shape))
     den -= prod
-    return prod, den
+    with np.errstate(all="ignore"):
+        # the min is NaN, and fails the test, when any den is; inf when none
+        ties = None if den.min(initial=np.inf) > 0.0 else ~(den > 0.0)
+    return prod, den, ties
 
 
 def _contest(a: Real, b: Real, tie: float) -> Real:
@@ -104,9 +108,9 @@ def memberships(x: Real, v1: Real, v2: Real) -> tuple[Real, Real, Real]:
     d1 = dissimilarity(x, v1)
     d2 = dissimilarity(x, v2)
     # truth is _contest(d1, d2, 0.5) and falsity _contest(d2, d1, 0.5): the
-    # two share one product and one denominator
-    prod, den = _rivals(d1, d2)
-    truth, falsity = (_share(d, prod, den, 0.5)[()] for d in (d2, d1))
+    # two share one product and one denominator, checked once for ties
+    prod, den, ties = _rivals(d1, d2)
+    truth, falsity = (_share(d, prod, den, ties, 0.5)[()] for d in (d2, d1))
     return truth, falsity, np.minimum(d1, d2)
 
 

@@ -14,20 +14,22 @@ group starts wherever a class gains or loses a bin. Truth, falsity and the
 nearer-mean dissimilarity depend on the class means only, so the sweep
 evaluates them once per group in each block and repeats them across the
 group's columns; neutrality and everything after it depend on the threshold
-and are evaluated per cell. The repeated arrays must be C-ordered like the
-rest of the block, because numpy sums a C-ordered block's rows in order but
-reduces an F-ordered one pairwise, which would change the curve's last bits.
+and are evaluated per cell, in C-ordered arrays like the rest of the block.
 
 Each weighted mean is a ratio of column sums, weighted entropies over weights:
-every block writes the sums of its columns, and the curve divides them once
-after the last block.
+every block writes the sums of its columns with ``np.einsum``, and the curve
+divides them once after the last block. On a C-ordered block at least two
+columns wide, einsum loops over the rows outermost and adds ``c*w``, or
+``(c*w)*e``, into each sum level by level, rounding each multiply and add
+apart: the order of :func:`partial_entropies`, which the tests compare by
+``==``. It reduces a lone or F-ordered column in vector lanes, which would
+change the curve's last bits, and so would an einsum that fused multiply-add
+(numpy's x86-64 baseline kernels do not).
 
 The grid is evaluated in blocks of consecutive candidate columns, as many as
 fit in ``_BLOCK_CELLS`` cells, so the sweep's memory does not grow with ``q``
 beyond its O(q) per-candidate arrays; ``MAX_Q`` caps those. Every block is at
-least two columns wide: numpy sums a two-dimensional block's rows in order,
-but reduces a single column pairwise, which would change the curve's last
-bits. The curve is therefore the same for every block size.
+least two columns wide, so the curve is the same for every block size.
 """
 
 from __future__ import annotations
@@ -222,17 +224,16 @@ def entropy_curve(hist: Histogram) -> EntropyCurve:
 
     The occupied-bins x candidates grid is split into blocks of consecutive
     columns: as many as fit in ``_BLOCK_CELLS`` cells, but at least two, and
-    the rest in a last block. A lone last column joins the block before it:
-    numpy adds a block's rows in order, but sums a lone column pairwise, so
-    a one-column block would change the curve. With that minimum every block
-    size gives the same bits.
+    the rest in a last block. A lone last column joins the block before it,
+    because einsum would sum it in another order (see the module docstring).
+    So every block size gives the same bits.
 
     Candidates with the same class populations ``n1``, ``n2`` form a group
     that shares ``v1`` and ``v2``. Each block evaluates :func:`memberships`
     on one column per group it holds and expands the results with
     ``np.repeat(..., axis=1)``, which keeps them C-ordered; a fancy-indexed
-    ``m[:, idx]`` would come out F-ordered and be summed pairwise. A block
-    whose groups are all one column wide, as at q = depth - 1 where every
+    ``m[:, idx]`` would come out F-ordered and be summed in another order. A
+    block whose groups are all one column wide, as at q = depth - 1 where every
     level is occupied, uses the results as they are.
     """
     ks = _candidate_indices(hist)
@@ -244,7 +245,7 @@ def entropy_curve(hist: Histogram) -> EntropyCurve:
     ts = ks / hist.q
     occ = hist.occupied()
     # rows are occupied bins, columns candidates
-    c = hist.counts[occ].astype(np.float64)[:, None]
+    c = hist.counts[occ].astype(np.float64)
     x = (occ / hist.q)[:, None]
     # weighted entropy sums and weight masses, rows T, I, F
     num, den = np.empty((3, ks.size)), np.empty((3, ks.size))
@@ -276,12 +277,9 @@ def entropy_curve(hist: Histogram) -> EntropyCurve:
         # the nearer-mean distance only feeds neutrality
         del groups, nearer
         e = neutro_entropy(*triple)
-        # the block owns its weights, so they are scaled in place: w * c is c * w
         for k, w in enumerate(triple):
-            w *= c
-            np.sum(w, axis=0, out=den[k, a:b])
-            w *= e
-            np.sum(w, axis=0, out=num[k, a:b])
+            np.einsum("r,rc->c", c, w, out=den[k, a:b])
+            np.einsum("r,rc,rc->c", c, w, e, out=num[k, a:b])
     # the last block's arrays, before the curve's columns are allocated
     del truth, falsity, triple, e, w
     # each sum is divided in place by its mass, so no third (3, q) array is

@@ -288,6 +288,65 @@ class TestSegmentCommand:
         captured = capsysbinary.readouterr()
         assert captured.out == b"" and captured.err.count(b"\n") == 1
 
+    OUTPUT_OPTIONS = [
+        ("curve", "--out"),
+        ("threshold", "--out"),
+        ("threshold", "--curve-out"),
+        ("segment", "--out"),
+        ("segment", "--curve-out"),
+    ]
+
+    @pytest.mark.parametrize("command, option", OUTPUT_OPTIONS)
+    def test_output_with_no_file_name_fails_before_the_sweep(
+        self, command, option, bimodal_pgm, monkeypatch, capsysbinary
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "entropy_curve", lambda *a: calls.append(a))
+        assert cli.main([command, bimodal_pgm, option, ""]) == 2
+        assert calls == []
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err.startswith(b"error: ") and captured.err.count(b"\n") == 1
+
+    @pytest.mark.parametrize("command, option", OUTPUT_OPTIONS)
+    def test_unwritable_output_fails_before_the_sweep(
+        self, command, option, bimodal_pgm, tmp_path, monkeypatch, capsysbinary
+    ):
+        target = tmp_path / "locked"
+        target.write_bytes(b"old bytes")
+        before = target.stat()
+        real_open, real_os_open = open, os.open
+
+        # as for an immutable file; root ignores mode bits, so both ways to
+        # open the path are refused, whatever the mode asked
+        def refuse(opener):
+            def patched(file, *args, **kwargs):
+                if file == str(target):
+                    raise PermissionError(errno.EPERM, "Operation not permitted", file)
+                return opener(file, *args, **kwargs)
+
+            return patched
+
+        calls = []
+        monkeypatch.setattr(cli, "entropy_curve", lambda *a: calls.append(a))
+        monkeypatch.setattr("builtins.open", refuse(real_open))
+        monkeypatch.setattr(os, "open", refuse(real_os_open))
+        assert cli.main([command, bimodal_pgm, option, str(target)]) == 2
+        monkeypatch.undo()
+        assert calls == []
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        want = f"error: [Errno 1] Operation not permitted: {str(target)!r}\n"
+        assert captured.err == want.encode()
+        after = target.stat()
+        assert target.read_bytes() == b"old bytes"
+        assert (after.st_ino, after.st_mode, after.st_nlink) == (
+            before.st_ino,
+            before.st_mode,
+            before.st_nlink,
+        )
+        assert sorted(tmp_path.iterdir()) == sorted([Path(bimodal_pgm), target])
+
     @pytest.mark.parametrize(
         "module, name", [(cli, "segment"), (image_mod, "_pair_table")]
     )

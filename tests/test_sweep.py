@@ -322,6 +322,30 @@ class TestBlockedSweep:
             want = partial_entropies(hist, float(t))
             assert (curve.e_t[j], curve.e_i[j], curve.e_f[j]) == want, t
 
+    def test_sums_add_in_the_scalar_reference_order(self, monkeypatch):
+        # 20 occupied levels at q=300, so groups are up to 56 columns wide
+        # and memberships are repeated; the scalar reference adds c * w and
+        # c * w * e level by level, and a pairwise or fused multiply-add
+        # reduction would change the last bits of some candidate
+        rng = np.random.default_rng(28)
+        levels = np.sort(rng.choice(256, size=20, replace=False))
+        counts = rng.integers(1, 400, size=20)
+        image = GrayImage(
+            width=int(counts.sum()),
+            height=1,
+            levels=np.repeat(levels, counts),
+            depth=256,
+        )
+        hist = build_histogram(image, q=300)
+        rows = hist.occupied().size
+        assert rows == 20
+        want = [partial_entropies(hist, float(t)) for t in candidate_thresholds(hist)]
+        for budget in (sweep._BLOCK_CELLS, 2 * rows, 3 * rows):
+            curve, widths = self.blocked_curve(monkeypatch, hist, budget)
+            assert max(widths) <= budget // rows + 1
+            got = list(zip(curve.e_t.tolist(), curve.e_i.tolist(), curve.e_f.tolist()))
+            assert got == want, budget
+
     def test_peak_memory_does_not_grow_with_q(self):
         hist = build_histogram(random_image(8, 256, 256), q=16000)
         tracemalloc.start()
