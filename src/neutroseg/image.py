@@ -14,9 +14,9 @@ from .errors import _integer
 # gather of their table entries (the count copies a chunk's pairs into one
 # intp buffer of _CHUNK // 2 entries, 256 KB, beside a 512 KB table of pair
 # counts; take converts its pair indices to intp, at most 256 KB, so all of
-# it stays in cache), the buffer of a streamed repaint and a read of the P5
-# file the CLI reads every input from. On a 4096^2 P5 (2-core x86 host),
-# `segment --out` to /dev/null peaked at 31.3-31.5 MB RSS for 2^14 to
+# it stays in cache), and a read of the P5 file the CLI reads every input
+# from, which its repaint overwrites in place. On a 4096^2 P5 (2-core x86
+# host), `segment --out` to /dev/null peaked at 31.3-31.5 MB RSS for 2^14 to
 # 2^16, 31.5 for 2^17, 31.7 for 2^18 and 38.5 for 2^20, and its wall time
 # was 0.37-0.39 s at every size (medians of 9 interleaved fresh processes,
 # counted then by one bincount per chunk). 2^16 had been the fastest level
@@ -131,22 +131,6 @@ def _count_levels(chunks: Iterable[np.ndarray]) -> np.ndarray:
             counts[odd[0]] += 1
     grid = pairs.reshape(256, 256)  # entry [b, a] counts the pair (a, b)
     return counts + grid.sum(axis=0) + grid.sum(axis=1)
-
-
-def _lookup_chunks(
-    chunks: Iterable[np.ndarray], table: np.ndarray, depth: int
-) -> Iterator[np.ndarray]:
-    """``table[chunk]`` for each chunk of at most ``_CHUNK`` ``uint8`` levels.
-
-    Every level is below ``depth``. The table is checked, its pair table
-    built and a buffer of ``_CHUNK`` entries allocated on the call, before
-    the first chunk is asked for. Every chunk is gathered into that one
-    buffer, so a result must be consumed before the next is requested.
-    """
-    table = _check_table(table, depth)
-    pairs = _pair_table(table)
-    buf = np.empty(_CHUNK, dtype=table.dtype)
-    return (_gather(chunk, table, pairs, buf[: chunk.size]) for chunk in chunks)
 
 
 def _gather(

@@ -28,7 +28,7 @@ from .errors import (
 )
 from . import image as image_mod
 from . import plain
-from .image import GrayImage, _count_levels, _lookup_chunks
+from .image import GrayImage, _count_levels
 from .sweep import EntropyCurve
 
 PathLike = Union[str, os.PathLike]
@@ -161,7 +161,9 @@ class _P5File:
     over the raster reads it from the open file ``fh`` in chunks of
     ``_CHUNK`` bytes, into one buffer allocated here: the constructor makes
     the first pass, which counts the levels, and :meth:`_lookup_slices` the
-    second, which repaints them. So memory does not grow with the image.
+    second, which repaints them, writing each chunk's new levels over that
+    chunk in the buffer; so a part it yields is valid only until the next
+    read. Memory does not grow with the image.
     """
 
     def __init__(self, fh):
@@ -189,16 +191,14 @@ class _P5File:
             yield self._buf[:n]
 
     def _lookup_slices(self, table: np.ndarray) -> Iterator[np.ndarray]:
-        """``table[levels]`` read again from the file, as by GrayImage's."""
-
-        def checked() -> Iterator[np.ndarray]:
-            for chunk in self._chunks():
-                # the raster may have changed since the first pass
-                if self.depth < 256 and chunk.max() >= self.depth:
-                    raise PgmError("raster changed while it was read")
-                yield chunk
-
-        return _lookup_chunks(checked(), table, self.depth)
+        """``table[levels]``, a ``uint8`` table, repainted in the read buffer."""
+        table = image_mod._check_table(table, self.depth)
+        pairs = image_mod._pair_table(table)
+        for chunk in self._chunks():
+            # the raster may have changed since the first pass
+            if self.depth < 256 and chunk.max() >= self.depth:
+                raise PgmError("raster changed while it was read")
+            yield image_mod._gather(chunk, table, pairs, chunk)
 
 
 def _p5_header(fh) -> tuple[int, int, int, int]:

@@ -401,7 +401,7 @@ class TestStreamedRepaint:
     """A P5 input is read in chunks, twice for segment, and repainted in chunks.
 
     Each pass reads the raster through one reused buffer of ``_CHUNK``
-    bytes, and the repaint is written chunk by chunk through another.
+    bytes, and the repaint writes each chunk's new levels over it there.
     """
 
     def check(self, img, tmp_path, capsysbinary):

@@ -21,6 +21,7 @@ from neutroseg import (
     segment,
     write_pgm,
 )
+from neutroseg.segment import _level_paint
 
 DEPTHS = [2, 17, 101, 256]
 QS = [2, 64, 255, 1000, 4000]
@@ -211,12 +212,6 @@ def check_lookup(img: GrayImage) -> None:
         assert got.tobytes() == table[img.levels].tobytes()
         entries = table.tolist()
         assert got.tolist() == [entries[v] for v in img.levels.tolist()]
-        chunks = image_mod._chunks(img.levels)
-        slices = image_mod._lookup_chunks(chunks, table, img.depth)
-        parts = [part.tobytes() for part in slices]
-        # the streamed repaint gathers every part into one _CHUNK buffer
-        assert all(len(part) <= image_mod._CHUNK * table.itemsize for part in parts)
-        assert b"".join(parts) == got.tobytes()
 
 
 def check_pipeline(img: GrayImage, levels: np.ndarray) -> None:
@@ -236,10 +231,18 @@ EDGES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1]
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, *EDGES, 2 * CHUNK + 7])
 @pytest.mark.parametrize("depth", [2, 101, 256])
-def test_gathers_match_per_pixel_formulas_across_chunk_edges(depth, n):
+def test_gathers_match_per_pixel_formulas_across_chunk_edges(depth, n, tmp_path):
     img = random_image(n, n, 1, depth=depth)
     assert img.levels.dtype == np.uint8
     check_lookup(img)
+    # the CLI's repaint, streamed from a P5 file: every part is repainted in
+    # the one read buffer, so it is copied before the next is read
+    table = level_table(depth, np.uint8)
+    save_pgm(tmp_path / "in.pgm", img)
+    with imgio._open_pgm(tmp_path / "in.pgm") as streamed:
+        parts = [part.tobytes() for part in streamed._lookup_slices(table)]
+    assert all(len(part) <= CHUNK for part in parts)
+    assert b"".join(parts) == table[img.levels].tobytes()
     # read_pgm's P5 raster: a view of the file's bytes at an odd offset
     raster = np.frombuffer(b"P" + img.levels.tobytes(), dtype=np.uint8, offset=1)
     assert raster.ctypes.data % 2 == 1
@@ -291,12 +294,18 @@ class ShortReads:
 
 @pytest.mark.parametrize("n", [1, 2, 1001])
 def test_streamed_p5_counts_odd_short_reads(n, tmp_path):
-    img = random_image(n, n, 1, depth=256)
-    save_pgm(tmp_path / "in.pgm", img)
-    with open(tmp_path / "in.pgm", "rb", buffering=0) as fh:
-        counted = imgio._P5File(ShortReads(fh))
-    want = read_pgm((tmp_path / "in.pgm").read_bytes()).level_counts
-    assert np.array_equal(counted.level_counts, want)
+    for depth in (2, 101, 256):
+        img = random_image(n, n, 1, depth=depth)
+        seg = segment(img, [0.3, 0.7])
+        save_pgm(tmp_path / "in.pgm", img)
+        with open(tmp_path / "in.pgm", "rb", buffering=0) as fh:
+            counted = imgio._P5File(ShortReads(fh))
+            # chunks of odd length throughout: each pairs its own levels
+            slices = counted._lookup_slices(_level_paint(seg))
+            parts = [part.tobytes() for part in slices]
+        want = read_pgm((tmp_path / "in.pgm").read_bytes()).level_counts
+        assert np.array_equal(counted.level_counts, want)
+        assert b"".join(parts) == render(seg, img).levels.tobytes()
 
 
 def test_non_contiguous_levels_are_stored_contiguous():
