@@ -213,8 +213,8 @@ def _threshold_line(t: float, q: int, depth: int) -> str:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    with _output(args.out) as out, imgio._open_pgm(args.input) as image:
-        curve = entropy_curve(build_histogram(image, q=args.q))
+    with _output(args.out) as out, imgio._p5_file(args.input) as fh:
+        curve = entropy_curve(build_histogram(imgio._P5File(fh), q=args.q))
         _note(f"candidates: {len(curve)}")
         # streamed a block of rows at a time, never held as one text
         out.writelines(imgio._curve_parts(curve))
@@ -223,7 +223,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 def cmd_threshold(args: argparse.Namespace) -> int:
     with _output(args.out) as out, _curve_output(args.curve_out) as curve_out:
-        with imgio._open_pgm(args.input) as image:
+        with imgio._p5_file(args.input) as fh:
+            image = imgio._P5File(fh)
             found = _pipeline(args, image, curve_out)
         lines = [_threshold_line(t, args.q, image.depth) for t in found.thresholds]
         out.write(("\n".join(lines) + "\n").encode("utf-8"))
@@ -234,7 +235,8 @@ def cmd_segment(args: argparse.Namespace) -> int:
     with _output(args.out) as out, _curve_output(args.curve_out) as curve_out:
         # the raster is left in a P5 file (imgio._P5File), the input itself
         # or a temporary copy of it, and read again as the repaint is written
-        with imgio._open_pgm(args.input) as image:
+        with imgio._p5_file(args.input) as fh:
+            image = imgio._P5File(fh)
             found = _pipeline(args, image, curve_out)
             seg = segment(image, found.thresholds)
             for t in seg.thresholds:

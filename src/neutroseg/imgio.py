@@ -1,14 +1,16 @@
 """PGM codecs and the entropy-curve text format.
 
-Both the ASCII (P2) and binary (P5) PGM flavors are decoded, a P2 raster
-by :mod:`neutroseg.plain`; emission is always binary. Only 8-bit files are
-in scope, so maxval may not exceed 255. Curves are exchanged as
-comma-separated text with a fixed header line and one row per candidate
-threshold, 12 significant digits per value.
+Both the ASCII (P2) and binary (P5) PGM flavors are read: a P2 raster is
+decoded by :mod:`neutroseg.plain` into P5, by :func:`_spill` alone, so every
+reader reads P5; emission is always binary. Only 8-bit files are in scope,
+so maxval may not exceed 255. Curves are exchanged as comma-separated text
+with a fixed header line and one row per candidate threshold, 12
+significant digits per value.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import re
 import shutil
@@ -118,8 +120,11 @@ def _header_int(token: bytes, what: str) -> int:
 
 def read_pgm(data: bytes) -> GrayImage:
     """Decode PGM bytes (P2 or P5) into a gray image of depth maxval + 1."""
+    # a P2 raster is spilled to P5 bytes in memory, which the levels view
     if data[:2] == b"P2":
-        return _p2_image(data, None, len(data))
+        spill = io.BytesIO()
+        _spill(io.BytesIO(data), spill)
+        data = spill.getvalue()
     _, width, height, maxval, pos = _header(data)
     count = width * height
     start = _p5_start(data, pos, len(data), count)
@@ -132,25 +137,11 @@ def read_pgm(data: bytes) -> GrayImage:
         raise SampleOutOfRange(f"sample {exc}") from None
 
 
-def _p2_image(head: bytes, fh, size: int) -> GrayImage:
-    """The P2 image of ``size`` bytes in ``head`` and then in reads of ``fh``."""
-    _, width, height, maxval, pos = _header(head)
-    count = width * height
-    # a raster of n bytes holds at most (n + 1) // 2 samples, so a short
-    # one is read into no more than that before it is reported
-    levels = np.empty(min(count, max(size - pos + 1, 0) // 2), dtype=np.uint8)
-    filled = 0
-    for piece in plain._p2_levels(_p2_chunks(head, pos, fh), count, maxval):
-        levels[filled : filled + piece.size] = piece
-        filled += piece.size
-    return GrayImage(width=width, height=height, levels=levels, depth=maxval + 1)
-
-
 def _p2_chunks(head: bytes, pos: int, fh) -> Iterator[bytes]:
     """``head`` from ``pos``, in slices as long as a read, then reads of ``fh``."""
     step = plain._P2_CHUNK
     yield from (head[i : i + step] for i in range(pos, len(head), step))
-    while fh is not None and (chunk := fh.read(step)):
+    while chunk := fh.read(step):
         yield chunk
 
 
@@ -228,6 +219,7 @@ def _magic(fh) -> bytes:
 
 def _spill(fh, spill) -> None:
     """Write the PGM read from ``fh`` to ``spill`` as P5: a P5 copied, a P2 decoded."""
+    # every reader's P2 raster is decoded here, and only here
     head = _head(fh)
     magic, width, height, maxval, pos = _header(head)
     if magic == b"P5":
@@ -240,18 +232,18 @@ def _spill(fh, spill) -> None:
 
 
 @contextmanager
-def _open_pgm(path: PathLike) -> Iterator[_P5File]:
-    """The PGM file at ``path`` as a :class:`_P5File`, spilled unless a P5 file."""
-    # a P2 file or a pipe is spilled to an unnamed temporary file, so no
-    # input is held whole; unbuffered, each read of ``path`` goes straight
-    # into the buffer it is read into
+def _p5_file(path: PathLike) -> Iterator:
+    """The PGM file at ``path`` if it is a P5 regular file, else a P5 spill of it."""
+    # a P2 file or a pipe is spilled to an unnamed temporary file, so the
+    # command line holds no input whole; unbuffered, each read of ``path``
+    # goes straight into the buffer it is read into
     with open(path, "rb", buffering=0) as fh:
         if _magic(fh) == b"P5":
-            yield _P5File(fh)
+            yield fh
         else:
             with tempfile.TemporaryFile() as spill:
                 _spill(fh, spill)
-                yield _P5File(spill)
+                yield spill
 
 
 def pgm_parts(image: GrayImage) -> tuple[bytes, memoryview]:
@@ -275,11 +267,9 @@ def write_pgm(image: GrayImage) -> bytes:
 
 
 def load_pgm(path: PathLike) -> GrayImage:
-    """Read a PGM file from ``path``; a P2 regular file is decoded a read at a time."""
-    # anything else is read whole: a pipe has no size to bound P2 levels by
-    with open(path, "rb", buffering=0) as fh:
-        if _magic(fh) == b"P2":
-            return _p2_image(_head(fh), fh, os.fstat(fh.fileno()).st_size)
+    """Read a PGM file from ``path``; a P2 file or a pipe is spilled as the CLI does."""
+    with _p5_file(path) as fh:
+        fh.seek(0)
         return read_pgm(fh.read())
 
 

@@ -1,13 +1,13 @@
 """The decoder of plain (P2) PGM rasters, the one every read path uses.
 
-:func:`read_pgm <neutroseg.imgio.read_pgm>` passes it slices of the bytes
-it is given, ``load_pgm`` the reads of a regular file, and the command
-line those of a file or a pipe. A raster is decoded in pieces of about
-``_P2_CHUNK`` bytes, each cut at a whitespace byte outside any comment,
-straight into ``uint8`` levels that are yielded piece by piece:
-``read_pgm`` and ``load_pgm`` collect them into one array, and the
-command line writes them to a temporary P5 file. So the decoder's
-temporaries scale with a piece, not with the image.
+It is called by :func:`_spill <neutroseg.imgio._spill>` alone, on the
+reads of a file, a pipe or, for ``read_pgm``, the bytes it is given; the
+levels it yields are written to a P5 spill, in memory for ``read_pgm`` and
+to an unnamed temporary file for ``load_pgm`` and the command line. A
+raster is decoded in pieces of about ``_P2_CHUNK`` bytes, each cut at a
+whitespace byte outside any comment, straight into ``uint8`` levels that
+are yielded piece by piece, so the decoder's temporaries scale with a
+piece, not with the image.
 """
 
 from __future__ import annotations

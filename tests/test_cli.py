@@ -711,6 +711,19 @@ class TestTemporaryDirectory:
         assert cli.main(["segment", str(tmp_path / "in.pgm"), "--out", str(out)]) == 0
         assert out.read_bytes() == _expected_segment_output(img)
 
+    def test_load_pgm_spills_as_the_command_line_does(self, tmp_path):
+        img = _varied_image(19, 101)
+        save_pgm(tmp_path / "in.pgm", img)
+        assert np.array_equal(load_pgm(tmp_path / "in.pgm").levels, img.levels)
+        (tmp_path / "p2.pgm").write_bytes(_p2_bytes(img))
+        with pytest.raises(OSError, match="missing"):
+            load_pgm(tmp_path / "p2.pgm")
+        with piped(tmp_path / "fifo", write_pgm(img)) as path:
+            with pytest.raises(OSError, match="missing"):
+                load_pgm(path)
+        # read_pgm spills a P2 raster in memory
+        assert np.array_equal(read_pgm(_p2_bytes(img)).levels, img.levels)
+
 
 class TestErrorPaths:
     def test_constant_image_is_domain_error(self, constant_pgm, capsysbinary):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import image_from_unit, random_image
+from conftest import image_from_unit, piped, random_image
 from neutroseg import (
     BadMagic,
     GrayImage,
@@ -169,6 +169,51 @@ class TestReadPgmFuzz:
             read_pgm(b"P2 1 1 255 " + b"9" * 30)
 
 
+def outcome(read, source, last="levels"):
+    """What ``read`` gives for ``source``, or its error's class and message.
+
+    Of a result, that is its class, size and depth and its ``last`` attribute.
+    """
+    try:
+        got = read(source)
+    except PgmError as exc:
+        return type(exc), str(exc)
+    return type(got), got.width, got.height, got.depth, getattr(got, last).tolist()
+
+
+def counted(path):
+    """The command line's reader of the file at ``path``, its levels counted."""
+    with imgio._p5_file(path) as fh:
+        return imgio._P5File(fh)
+
+
+class TestReadersAgree:
+    """``read_pgm``, ``load_pgm`` of a file and of a FIFO, and the CLI's count."""
+
+    def check(self, data):
+        want = outcome(read_pgm, data)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.pgm"
+            path.write_bytes(data)
+            assert outcome(load_pgm, path) == want
+            with piped(Path(tmp) / "fifo", data) as fifo:
+                assert outcome(load_pgm, fifo) == want
+            got = outcome(counted, path, "level_counts")
+        if want[0] is GrayImage:
+            want = (imgio._P5File, *outcome(read_pgm, data, "level_counts")[1:])
+        assert got == want
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(st.binary(max_size=64))
+    def test_any_bytes(self, data):
+        self.check(data)
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(pgm_with_random_tail())
+    def test_valid_header_random_tail(self, data):
+        self.check(data)
+
+
 _SPACE = " \t\n\r\x0b\x0c"
 
 
@@ -226,7 +271,8 @@ def opened(path):
     Its levels are read back from the P5 file it is spilled to, by the
     repaint's own pass, with the identity table.
     """
-    with imgio._open_pgm(path) as raster:
+    with imgio._p5_file(path) as fh:
+        raster = imgio._P5File(fh)
         identity = np.arange(raster.depth, dtype=np.uint8)
         parts = [part.tobytes() for part in raster._lookup_slices(identity)]
         levels = np.frombuffer(b"".join(parts), dtype=np.uint8)

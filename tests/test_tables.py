@@ -160,7 +160,8 @@ def test_level_counts_are_read_only(tmp_path):
     # the CLI counts a P5 file's levels without holding its raster
     img = random_image(22, 31, 17, depth=101)
     save_pgm(tmp_path / "in.pgm", img)
-    with imgio._open_pgm(tmp_path / "in.pgm") as counted:
+    with imgio._p5_file(tmp_path / "in.pgm") as fh:
+        counted = imgio._P5File(fh)
         assert isinstance(counted, imgio._P5File)
         for counts in (img.level_counts, counted.level_counts):
             with pytest.raises(ValueError, match="read-only"):
@@ -239,7 +240,8 @@ def test_gathers_match_per_pixel_formulas_across_chunk_edges(depth, n, tmp_path)
     # the one read buffer, so it is copied before the next is read
     table = level_table(depth, np.uint8)
     save_pgm(tmp_path / "in.pgm", img)
-    with imgio._open_pgm(tmp_path / "in.pgm") as streamed:
+    with imgio._p5_file(tmp_path / "in.pgm") as fh:
+        streamed = imgio._P5File(fh)
         parts = [part.tobytes() for part in streamed._lookup_slices(table)]
     assert all(len(part) <= CHUNK for part in parts)
     assert b"".join(parts) == table[img.levels].tobytes()
